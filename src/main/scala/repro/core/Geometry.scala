@@ -9,16 +9,24 @@ package repro.core
   */
 object Geometry {
 
-  /** Alignment direction between two rectangles. */
-  sealed abstract class Alignment(val label: String)
+  /** Alignment direction between two rectangles; `code` is a dense index
+    * in [0, Alignment.Count) for array-backed tables.
+    */
+  sealed abstract class Alignment(val code: Int)
   /** y-projections overlap (elements share rows, i.e. lie side by side). */
-  case object V extends Alignment("V")
+  case object V extends Alignment(0)
   /** x-projections overlap (elements share columns, stacked). */
-  case object H extends Alignment("H")
+  case object H extends Alignment(1)
   /** Bounding boxes overlap (regions only; elements never overlap). */
-  case object O extends Alignment("O")
+  case object O extends Alignment(2)
   /** Projections overlap on neither axis. */
-  case object N extends Alignment("N")
+  case object N extends Alignment(3)
+
+  object Alignment {
+    /** All directions, indexed by `code`. */
+    val values: Vector[Alignment] = Vector(V, H, O, N)
+    val Count: Int = values.length
+  }
 
   /** Closed integer rectangle in cell coordinates. */
   final case class Rect(x0: Int, y0: Int, x1: Int, y1: Int) {
@@ -74,10 +82,10 @@ object Geometry {
   }
 
   /** Spatial relationship feature vector (direction, magnitude, distance). */
-  final case class SpatialRel(direction: String, magnitude: Long, distance: Double)
+  final case class SpatialRel(direction: Alignment, magnitude: Long, distance: Double)
 
   def spatialRel(a: Rect, b: Rect): SpatialRel =
-    SpatialRel(alignment(a, b).label, alignmentMagnitude(a, b), distance(a, b))
+    SpatialRel(alignment(a, b), alignmentMagnitude(a, b), distance(a, b))
 
   /** Corner-offset misalignment term of the clustering distance (§4.2):
     * h = |yTL0−yTL1| + |yBR0−yBR1| (row offsets), v = |xTL0−xTL1| + |xBR0−xBR1|

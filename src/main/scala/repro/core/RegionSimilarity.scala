@@ -64,7 +64,7 @@ object RegionSimilarity {
       i += 1
     }
     if (da == 0.0 || db == 0.0) { if (da == db) 1.0 else 0.0 }
-    else math.max(0.0, num / math.sqrt(da * db))
+    else math.min(1.0, math.max(0.0, num / math.sqrt(da * db)))
   }
 
   /** Similarity of two regions = cross-correlation of their fingerprints. */

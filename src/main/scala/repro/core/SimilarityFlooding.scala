@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.Geometry.SpatialRel
+import repro.core.Geometry.{Alignment, SpatialRel}
 
 /** Layout similarity via similarity flooding (paper §4.3, after Melnik et
   * al.): node similarities seeded from region fingerprints are iteratively
@@ -15,9 +15,18 @@ object SimilarityFlooding {
   final case class Params(maxIterations: Int = 10, stopDelta: Double = 0.1)
 
   /** Edge similarity (§4.3): 0 if either pair lacks an edge or alignment
-    * directions differ; otherwise 1 minus the Euclidean distance of the
-    * (magnitude, distance) feature vectors "normalized by the maximum
-    * value" to land in [0, 1].
+    * directions differ; otherwise [[featureSimilarity]] of the two edges'
+    * (magnitude, distance) feature vectors.
+    */
+  def edgeSimilarity(a: Option[SpatialRel], b: Option[SpatialRel], scale: Double = 0.0): Double = (a, b) match {
+    case (Some(ea), Some(eb)) if ea.direction == eb.direction =>
+      featureSimilarity(ea.magnitude.toDouble, ea.distance, eb.magnitude.toDouble, eb.distance, scale)
+    case _ => 0.0
+  }
+
+  /** Similarity Φ of two same-direction edges with features (ma, da) and
+    * (mb, db): 1 minus the Euclidean distance of the feature vectors
+    * "normalized by the maximum value" to land in [0, 1].
     *
     * `scale` is that maximum: the flooding passes the largest edge-feature
     * norm across the two graphs (a per-graph-pair constant), so that small
@@ -26,41 +35,37 @@ object SimilarityFlooding {
     * similarities near 1 instead of being normalized by their own small
     * feature values. Without a scale the per-pair maximum is used.
     */
-  def edgeSimilarity(a: Option[SpatialRel], b: Option[SpatialRel], scale: Double = 0.0): Double = (a, b) match {
-    case (Some(ea), Some(eb)) if ea.direction == eb.direction =>
-      val dm = ea.magnitude.toDouble - eb.magnitude.toDouble
-      val dd = ea.distance - eb.distance
-      val d  = math.sqrt(dm * dm + dd * dd)
-      val norm =
-        if (scale > 0.0) scale
-        else {
-          val mm = math.max(ea.magnitude, eb.magnitude).toDouble
-          val md = math.max(math.abs(ea.distance), math.abs(eb.distance))
-          math.sqrt(mm * mm + md * md)
-        }
-      if (norm == 0.0) 1.0 else 1.0 - math.min(1.0, d / norm)
-    case _ => 0.0
+  def featureSimilarity(ma: Double, da: Double, mb: Double, db: Double, scale: Double): Double = {
+    val dm = ma - mb
+    val dd = da - db
+    val d  = math.sqrt(dm * dm + dd * dd)
+    val norm =
+      if (scale > 0.0) scale
+      else {
+        val mm = math.max(ma, mb)
+        val md = math.max(math.abs(da), math.abs(db))
+        math.sqrt(mm * mm + md * md)
+      }
+    if (norm == 0.0) 1.0 else 1.0 - math.min(1.0, d / norm)
   }
 
-  /** Largest edge-feature vector norm of a graph (0 if no edges). */
-  def featureScale(g: LayoutGraph): Double = {
-    var mx = 0.0
-    for (row <- g.edges; e <- row; r <- e) {
-      val n = math.sqrt(r.magnitude.toDouble * r.magnitude + r.distance * r.distance)
-      if (n > mx) mx = n
-    }
-    mx
-  }
+  /** Margin by which an upper bound must fall short of `atLeast` before
+    * flooding is skipped; it absorbs floating-point rounding in the bound
+    * and in the flooding (both are orders of magnitude smaller).
+    */
+  private val BoundSlack = 1e-9
 
-  /** Asymmetric flooding similarity sim(Ga, Gb) (§4.3).
+  /** Symmetric layout similarity: the average of both flooding directions
+    * sim(Ga, Gb) and sim(Gb, Ga) (§4.3).
     *
     * σ⁰ is the region-fingerprint similarity matrix. Each iteration floods
     * the neighborhood contribution into every node pair (i, j): for every
-    * neighbor m of i, only the neighbor n of j with the maximal edge
-    * similarity is used (1:1 match assumption), weighted by Φ normalized by
-    * 2^|deg(i) − deg(j)|. The update is the *normalized* (convex) form
+    * neighbor m of i, only the neighbor n of j with the maximal
+    * contribution Φ·σ(m, n) is used (1:1 match assumption; ties go to the
+    * lowest n), weighted by Φ normalized by D = 2^|deg(i) − deg(j)|. The
+    * update is the *normalized* (convex) form
     *
-    *   σ'(i,j) = (σ⁰(i,j) + Σ_m Φ·σ(m,n)) / (1 + Σ_m Φ)
+    *   σ'(i,j) = (σ⁰(i,j) + Σ_m Φ·σ(m,n)/D) / (1 + Σ_m Φ/D)
     *
     * rather than the paper's literal unnormalized sum followed by division
     * by the matrix maximum: under the literal form only the argmax pair can
@@ -71,71 +76,124 @@ object SimilarityFlooding {
     * [0, 1], is a fixed point at 1 for equivalent layouts, and preserves
     * the flooding semantics. Documented as a substitution in DESIGN.md.
     * The loop stops when the Frobenius delta falls under `stopDelta` or
-    * after `maxIterations`; the final score is the maximum-weight matching
-    * average over max(|Ga|, |Gb|).
+    * after `maxIterations`; a direction's score is the maximum-weight
+    * matching average over max(|Ga|, |Gb|).
+    *
+    * With `atLeast` > 0 the caller only needs scores ≥ `atLeast`: when the
+    * mean of both directions' [[upperBound]]s is below `atLeast` −
+    * [[BoundSlack]], that mean is returned without flooding. It is then an
+    * upper bound below `atLeast`, not the score.
     */
-  def simAsym(ga: LayoutGraph, gb: LayoutGraph, p: Params = Params()): Double = {
+  def similarity(ga: LayoutGraph, gb: LayoutGraph, p: Params = Params(), atLeast: Double = 0.0): Double = {
     val u = ga.size; val v = gb.size
     if (u == 0 || v == 0) return 0.0
-    val sigma0 = Array.tabulate(u, v)((i, j) =>
-      RegionSimilarity.similarity(ga.regions(i), gb.regions(j)))
-    var sigma = sigma0.map(_.clone())
-    val scale = math.max(featureScale(ga), featureScale(gb))
+    // σ⁰ is symmetric bit for bit, so the reverse direction uses its transpose
+    val s0  = Array.ofDim[Double](u, v)
+    val s0t = Array.ofDim[Double](v, u)
+    for (i <- 0 until u; j <- 0 until v) {
+      val s = RegionSimilarity.similarity(ga.regions(i), gb.regions(j))
+      s0(i)(j) = s; s0t(j)(i) = s
+    }
+    if (atLeast > 0.0) {
+      val bound = (upperBound(ga, gb, s0) + upperBound(gb, ga, s0t)) / 2.0
+      if (bound < atLeast - BoundSlack) return bound
+    }
+    val scale = math.max(ga.featureScale, gb.featureScale)
+    (flood(ga, gb, s0, scale, p) + flood(gb, ga, s0t, scale, p)) / 2.0
+  }
 
-    def degree(g: LayoutGraph, i: Int): Int = g.edges(i).count(_.isDefined)
+  /** 2^|deg(i) − deg(j)|, the neighborhood normalization of node pair (i, j). */
+  private def degNorm(a: LayoutGraph, i: Int, b: LayoutGraph, j: Int): Double =
+    math.pow(2.0, math.abs(a.degree(i) - b.degree(j)).toDouble)
 
+  /** Maximum-weight matching total over max(rows, cols). */
+  private def matchingAverage(w: Array[Array[Double]]): Double = {
+    val total = Hungarian.maxWeightMatching(w).map { case (i, j) => w(i)(j) }.sum
+    total / math.max(w.length, w(0).length)
+  }
+
+  /** One flooding direction sim(a, b) from σ⁰ = `s0` (|a| × |b|).
+    *
+    * Φ is 0 across directions, and a zero contribution never beats the
+    * running maximum, so for a neighbor m of i only the partners n of j
+    * whose edge has the direction of (i, m) are scanned.
+    */
+  private def flood(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]],
+                    scale: Double, p: Params): Double = {
+    val u = a.size; val v = b.size
+    var sigma = s0.map(_.clone())
+    var next  = Array.ofDim[Double](u, v)
     var it = 0
     var delta = Double.MaxValue
     while (it < p.maxIterations && delta >= p.stopDelta) {
-      val next = Array.tabulate(u, v) { (i, j) =>
-        var acc = sigma0(i)(j)
-        var weight = 1.0
-        val degNorm = math.pow(2.0, math.abs(degree(ga, i) - degree(gb, j)).toDouble)
-        var m = 0
-        while (m < u) {
-          if (m != i && ga.edges(i)(m).isDefined) {
-            // 1:1 match assumption: use only the neighbor n of j whose
-            // pairing contributes most (maximal Φ·σ — in complete graphs
-            // edge similarities tie frequently, so maximizing Φ alone picks
-            // arbitrary partners and equivalent layouts stop being a fixed
-            // point)
-            var bestN = -1; var bestPhi = 0.0; var bestContrib = 0.0
-            var n = 0
-            while (n < v) {
-              if (n != j && gb.edges(j)(n).isDefined) {
-                val phi = edgeSimilarity(ga.edges(i)(m), gb.edges(j)(n), scale)
-                val contrib = phi * sigma(m)(n)
-                if (contrib > bestContrib) { bestContrib = contrib; bestPhi = phi; bestN = n }
-              }
-              n += 1
-            }
-            if (bestN >= 0) {
-              acc += sigma(m)(bestN) * bestPhi / degNorm
-              weight += bestPhi / degNorm
-            }
-          }
-          m += 1
-        }
-        acc / weight
-      }
-      // Frobenius delta
       var d2 = 0.0
-      for (i <- 0 until u; j <- 0 until v) {
-        val d = next(i)(j) - sigma(i)(j); d2 += d * d
+      var i = 0
+      while (i < u) {
+        var j = 0
+        while (j < v) {
+          var acc = s0(i)(j)
+          var weight = 1.0
+          val dn = degNorm(a, i, b, j)
+          var m = 0
+          while (m < u) {
+            val e = i * u + m
+            val dir = a.dirs(e)
+            if (dir >= 0) {
+              val ma = a.mags(e); val da = a.dists(e)
+              val ns = b.partners(j * Alignment.Count + dir)
+              val sm = sigma(m)
+              var bestN = -1; var bestPhi = 0.0; var bestContrib = 0.0
+              var k = 0
+              while (k < ns.length) {
+                val n = ns(k)
+                val f = j * v + n
+                val phi = featureSimilarity(ma, da, b.mags(f), b.dists(f), scale)
+                val contrib = phi * sm(n)
+                if (contrib > bestContrib) { bestContrib = contrib; bestPhi = phi; bestN = n }
+                k += 1
+              }
+              if (bestN >= 0) {
+                acc += sm(bestN) * bestPhi / dn
+                weight += bestPhi / dn
+              }
+            }
+            m += 1
+          }
+          val x = acc / weight
+          val d = x - sigma(i)(j)
+          d2 += d * d
+          next(i)(j) = x
+          j += 1
+        }
+        i += 1
       }
       delta = math.sqrt(d2)
-      sigma = next
+      val t = sigma; sigma = next; next = t
       it += 1
     }
-
-    val matched = Hungarian.maxWeightMatching(sigma)
-    val total = matched.map { case (i, j) => sigma(i)(j) }.sum
-    total / math.max(u, v)
+    matchingAverage(sigma)
   }
 
-  /** Symmetric layout similarity: average of both directions (§4.3). */
-  def similarity(ga: LayoutGraph, gb: LayoutGraph, p: Params = Params()): Double =
-    (simAsym(ga, gb, p) + simAsym(gb, ga, p)) / 2.0
+  /** Upper bound on one flooding direction sim(a, b), without flooding.
+    *
+    * Let K(i, j) be the number of i's neighbors whose edge direction occurs
+    * among j's edges and D = 2^|deg(i) − deg(j)|. Only those neighbors can
+    * contribute, each with Φ ≤ 1, so an update adds weight W ≤ K/D; with
+    * σ ≤ 1, σ'(i, j) ≤ (σ⁰ + W)/(1 + W), which grows with W for σ⁰ ≤ 1.
+    * Hence every iterate is at most B(i, j) = max(σ⁰, (σ⁰ + K/D)/(1 + K/D)),
+    * and the matching average over B bounds the score. As B ≤ 1, the bound
+    * never exceeds the node-count bound `LayoutGraph.sizeBound`.
+    */
+  private def upperBound(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]]): Double = {
+    val w = Array.tabulate(a.size, b.size) { (i, j) =>
+      var k = 0
+      for (d <- 0 until Alignment.Count if b.partners(j * Alignment.Count + d).nonEmpty)
+        k += a.partners(i * Alignment.Count + d).length
+      val kd = k / degNorm(a, i, b, j)
+      math.max(s0(i)(j), (s0(i)(j) + kd) / (1.0 + kd))
+    }
+    matchingAverage(w)
+  }
 }
 
 /** Maximum-weight bipartite matching via the O(n³) Hungarian algorithm on

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 /** Template inference (paper §4.4, Algorithm 1), parallelized on Spark.
   *
@@ -12,8 +12,9 @@ import org.apache.spark.sql.{Dataset, SparkSession}
   *
   *  1. all-pairs region similarity (broadcast fingerprint index) keeps
   *     pairs with similarity ≥ τ_r → candidate file pairs;
-  *  2. candidate pairs whose node-count bound allows sim ≥ τ_f get a full
-  *     similarity-flooding layout comparison (parallel Spark map);
+  *  2. candidate pairs whose node-count bound allows sim ≥ τ_f get a
+  *     similarity-flooding layout comparison (parallel Spark map), which
+  *     stops early when its upper bound rules out sim ≥ τ_f;
   *  3. pairs with layout similarity ≥ τ_f are edges of the file graph;
   *     templates are its connected components (union-find on the driver —
   *     the file graph has one node per file, which is small).
@@ -69,73 +70,43 @@ object TemplateInference {
     pairs.toVector
   }
 
-  /** Full inference over per-file layout graphs (steps 1–3). */
+  /** Full inference over per-file layout graphs (steps 1–3).
+    * `candidatePairs` of the result counts candidates before any pruning.
+    */
   def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
-    import spark.implicits._
-    val allRegions = layouts.flatMap(_.regions)
-    val cands = candidatePairs(spark, allRegions, p.tauRegion)
-    val byFile = layouts.map(g => g.fileId -> g).toMap
-    val sizeOf = layouts.map(g => g.fileId -> g.size).toMap
-
-    // node-count pruning (§5.4): similarity is bounded by the size ratio
-    val toScore = cands.filter { case (a, b) =>
-      LayoutGraph.sizeBound(sizeOf(a), sizeOf(b)) >= math.min(0.7, p.tauLayout)
-    }
-
-    val bcLayouts = spark.sparkContext.broadcast(byFile)
-    val flood = p.flooding
-    val edges =
-      if (toScore.isEmpty) Vector.empty[(String, String, Double)]
-      else spark.createDataset(toScore)
-        .repartition(spark.sparkContext.defaultParallelism)
-        .map { case (a, b) =>
-          val g = bcLayouts.value
-          (a, b, SimilarityFlooding.similarity(g(a), g(b), flood))
-        }
-        .collect()
-        .toVector
-
-    val keep = edges.filter(_._3 >= p.tauLayout)
-
-    // union-find over files
-    val files = layouts.map(_.fileId)
-    val parent = scala.collection.mutable.Map(files.map(f => f -> f): _*)
-    def find(x: String): String = {
-      var r = x
-      while (parent(r) != r) r = parent(r)
-      var c = x
-      while (parent(c) != r) { val nxt = parent(c); parent(c) = r; c = nxt }
-      r
-    }
-    for ((a, b, _) <- keep) {
-      val ra = find(a); val rb = find(b)
-      if (ra != rb) parent(ra) = rb
-    }
-    val roots = files.map(find).distinct.zipWithIndex.toMap
-    Result(files.map(f => f -> roots(find(f))).toMap, keep, cands.size.toLong)
+    val cands = candidatePairs(spark, layouts.flatMap(_.regions), p.tauRegion)
+    val edges = scorePairs(spark, layouts, cands, p.tauLayout, p.flooding)
+    Result(templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout), edges, cands.size.toLong)
   }
 
-  /** Layout-similarity edges for a fixed candidate set — used when sweeping
-    * τ_f: similarities are computed once and thresholded per τ.
+  /** Layout-similarity edges scoring ≥ `minTau` — used when sweeping τ_f:
+    * similarities are computed once and thresholded per τ ≥ `minTau`.
     */
   def scoredEdges(spark: SparkSession, layouts: Vector[LayoutGraph],
                   tauRegion: Double, minTau: Double = 0.7,
-                  flood: SimilarityFlooding.Params = SimilarityFlooding.Params()): Vector[(String, String, Double)] = {
-    val allRegions = layouts.flatMap(_.regions)
-    val cands = candidatePairs(spark, allRegions, tauRegion)
-    val sizeOf = layouts.map(g => g.fileId -> g.size).toMap
-    val toScore = cands.filter { case (a, b) => LayoutGraph.sizeBound(sizeOf(a), sizeOf(b)) >= minTau }
-    if (toScore.isEmpty) return Vector.empty
+                  flood: SimilarityFlooding.Params = SimilarityFlooding.Params()): Vector[(String, String, Double)] =
+    scorePairs(spark, layouts, candidatePairs(spark, layouts.flatMap(_.regions), tauRegion), minTau, flood)
+
+  /** Scores candidate pairs on Spark and keeps those with layout similarity
+    * ≥ `floor` (step 2). Pairs whose node-count bound (§5.4) is below
+    * `floor` are never flooded, and flooding itself skips pairs whose upper
+    * bound is below `floor`; neither changes an edge ≥ `floor`.
+    */
+  private def scorePairs(spark: SparkSession, layouts: Vector[LayoutGraph], cands: Vector[(String, String)],
+                         floor: Double, flood: SimilarityFlooding.Params): Vector[(String, String, Double)] = {
     import spark.implicits._
-    val bcLayouts = spark.sparkContext.broadcast(layouts.map(g => g.fileId -> g).toMap)
+    val byFile = layouts.map(g => g.fileId -> g).toMap
+    val toScore = cands.filter { case (a, b) => LayoutGraph.sizeBound(byFile(a).size, byFile(b).size) >= floor }
+    if (toScore.isEmpty) return Vector.empty
+    val bcLayouts = spark.sparkContext.broadcast(byFile)
     spark.createDataset(toScore)
       .repartition(spark.sparkContext.defaultParallelism)
       .map { case (a, b) =>
         val g = bcLayouts.value
-        (a, b, SimilarityFlooding.similarity(g(a), g(b), flood))
+        (a, b, SimilarityFlooding.similarity(g(a), g(b), flood, floor))
       }
       .collect()
-      .toVector
+      .iterator.filter(_._3 >= floor).toVector
   }
 
   /** Groups files into templates given precomputed edges and a threshold. */
@@ -184,10 +155,9 @@ object TemplateInference {
       if (!matchedAny && g.regions.isEmpty) () // files without regions form no candidates
     }
     val byFile = layouts.map(g => g.fileId -> g).toMap
-    val edges = candidates.toVector.map { case (a, b) =>
-      (a, b, SimilarityFlooding.similarity(byFile(a), byFile(b), p.flooding))
-    }
-    val keep = edges.filter(_._3 >= p.tauLayout)
+    val keep = candidates.toVector.map { case (a, b) =>
+      (a, b, SimilarityFlooding.similarity(byFile(a), byFile(b), p.flooding, p.tauLayout))
+    }.filter(_._3 >= p.tauLayout)
     val templates = templatesFromEdges(layouts.map(_.fileId), keep, p.tauLayout)
     Result(templates, keep, candidates.size.toLong)
   }

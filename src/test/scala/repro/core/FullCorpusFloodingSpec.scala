@@ -1,0 +1,82 @@
+package repro.core
+
+import repro.SparkSpec
+import repro.corpus.Corpora
+import repro.corpus.SpreadsheetGen.GoldFile
+import repro.eval.Strategies
+
+/** Full-corpus gate for the flooding kernel and its early exit: on the
+  * Deco-like corpus with Static Radius regions and the Fuste-like corpus
+  * with Dynamic Radius regions (τ_r = 0.75, outliers excluded), every
+  * candidate pair within the node-count bound 0.7 is scored by
+  * [[ReferenceFlooding]], and inference must reproduce it exactly.
+  */
+class FullCorpusFloodingSpec extends SparkSpec {
+  import FullCorpusFloodingSpec.Case
+
+  private val tauRegion = 0.75
+  private val minTau = 0.7
+  private val tauLayout = 0.99
+
+  /** Layouts of a corpus and the reference score of each candidate pair
+    * that survives the node-count bound at `minTau`.
+    */
+  private def prepare(files: Vector[GoldFile], strategy: String, dataset: String): Case = {
+    val layouts = Strategies.layouts(files, Strategies.detect(spark, strategy, dataset, files, Vector.empty))
+    val byFile = layouts.map(g => g.fileId -> g).toMap
+    val pairs = TemplateInference.candidatePairs(spark, layouts.flatMap(_.regions), tauRegion)
+      .filter { case (a, b) => LayoutGraph.sizeBound(byFile(a).size, byFile(b).size) >= minTau }
+    val bc = spark.sparkContext.broadcast(byFile)
+    val scores = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
+      .map { case (a, b) => (a, b) -> ReferenceFlooding.similarity(bc.value(a), bc.value(b)) }
+      .collect().toMap
+    Case(layouts, scores)
+  }
+
+  private lazy val deco  = prepare(Corpora.excludeOutliers(Corpora.deco(spark)), "Static Radius", "deco")
+  private lazy val fuste = prepare(Corpora.excludeOutliers(Corpora.fuste(spark)), "Dynamic Radius", "fuste")
+
+  private def edgeMap(edges: Vector[(String, String, Double)]): Map[(String, String), Double] = {
+    val m = edges.map(e => (e._1, e._2) -> e._3).toMap
+    assert(m.size == edges.size, "duplicate edges")
+    m
+  }
+
+  private def groups(m: Map[String, Int]): Set[Set[String]] = m.groupBy(_._2).values.map(_.keys.toSet).toSet
+
+  for ((name, c) <- Seq("deco static radius" -> (() => deco), "fuste dynamic radius" -> (() => fuste))) {
+    test(s"$name: the exact kernel returns the reference's doubles on every size-bound survivor") {
+      val cs = c()
+      val byFile = cs.layouts.map(g => g.fileId -> g).toMap
+      val bc = spark.sparkContext.broadcast(byFile)
+      val pairs = cs.reference.keys.toVector
+      val diffs = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
+        .map { case (a, b) => (a, b) -> SimilarityFlooding.similarity(bc.value(a), bc.value(b)) }
+        .collect()
+        .filter { case (k, s) => s != cs.reference(k) }
+      assert(pairs.nonEmpty)
+      assert(diffs.isEmpty, s"${diffs.length} of ${pairs.size} pairs differ, e.g. ${diffs.take(3).toSeq}")
+    }
+
+    test(s"$name: infer keeps the reference's edges and partition at τ_f = $tauLayout") {
+      val cs = c()
+      val r = TemplateInference.infer(spark, cs.layouts, TemplateInference.Params(tauRegion, tauLayout))
+      val want = cs.reference.filter(_._2 >= tauLayout)
+      assert(edgeMap(r.edges) == want)
+      val refEdges = want.toVector.map { case ((a, b), s) => (a, b, s) }
+      assert(groups(r.templateOf) == groups(TemplateInference.templatesFromEdges(cs.files, refEdges, tauLayout)))
+    }
+
+    test(s"$name: scoredEdges keeps the reference's scores ≥ $minTau") {
+      val cs = c()
+      val got = TemplateInference.scoredEdges(spark, cs.layouts, tauRegion, minTau)
+      assert(edgeMap(got) == cs.reference.filter(_._2 >= minTau))
+    }
+  }
+}
+
+object FullCorpusFloodingSpec {
+  private final case class Case(layouts: Vector[LayoutGraph], reference: Map[(String, String), Double]) {
+    def files: Vector[String] = layouts.map(_.fileId)
+  }
+}

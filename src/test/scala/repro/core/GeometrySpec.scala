@@ -91,11 +91,11 @@ class GeometrySpec extends AnyFunSuite {
   // --- spatial relationship vector
   test("figure-3 overlap example yields ('O', 1, 0)") {
     val r = spatialRel(Rect(0, 0, 2, 2), Rect(2, 2, 4, 4))
-    assert(r == SpatialRel("O", 1, 0.0))
+    assert(r == SpatialRel(O, 1, 0.0))
   }
   test("spatialRel for separated aligned elements") {
     val r = spatialRel(Rect(0, 0, 2, 2), Rect(0, 5, 2, 7))
-    assert(r == SpatialRel("H", 3, 2.0))
+    assert(r == SpatialRel(H, 3, 2.0))
   }
 
   // --- clustering distance terms (§4.2)

@@ -1,7 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Geometry.{Rect, SpatialRel}
+import repro.core.Geometry.{Alignment, H, Rect, SpatialRel, V}
 
 /** Similarity flooding layout comparison and Hungarian matching (§4.3). */
 class SimilarityFloodingSpec extends AnyFunSuite {
@@ -14,27 +17,27 @@ class SimilarityFloodingSpec extends AnyFunSuite {
 
   // --- edge similarity
   test("edge similarity of identical edges is 1") {
-    val e = Some(SpatialRel("H", 3, 2.0))
+    val e = Some(SpatialRel(H, 3, 2.0))
     assert(SimilarityFlooding.edgeSimilarity(e, e) == 1.0)
   }
   test("edge similarity across different directions is 0") {
     assert(SimilarityFlooding.edgeSimilarity(
-      Some(SpatialRel("H", 3, 2.0)), Some(SpatialRel("V", 3, 2.0))) == 0.0)
+      Some(SpatialRel(H, 3, 2.0)), Some(SpatialRel(V, 3, 2.0))) == 0.0)
   }
   test("edge similarity with a missing edge is 0") {
-    assert(SimilarityFlooding.edgeSimilarity(None, Some(SpatialRel("H", 3, 2.0))) == 0.0)
-    assert(SimilarityFlooding.edgeSimilarity(Some(SpatialRel("H", 3, 2.0)), None) == 0.0)
+    assert(SimilarityFlooding.edgeSimilarity(None, Some(SpatialRel(H, 3, 2.0))) == 0.0)
+    assert(SimilarityFlooding.edgeSimilarity(Some(SpatialRel(H, 3, 2.0)), None) == 0.0)
   }
   test("edge similarity decreases with feature distance") {
-    val base = Some(SpatialRel("H", 5, 2.0))
-    val near = SimilarityFlooding.edgeSimilarity(base, Some(SpatialRel("H", 5, 3.0)))
-    val far  = SimilarityFlooding.edgeSimilarity(base, Some(SpatialRel("H", 5, 9.0)))
+    val base = Some(SpatialRel(H, 5, 2.0))
+    val near = SimilarityFlooding.edgeSimilarity(base, Some(SpatialRel(H, 5, 3.0)))
+    val far  = SimilarityFlooding.edgeSimilarity(base, Some(SpatialRel(H, 5, 9.0)))
     assert(near > far)
     assert(near > 0.0 && near < 1.0 && far >= 0.0 && far <= 1.0)
   }
   test("edge similarity of two zero-feature edges is 1") {
     assert(SimilarityFlooding.edgeSimilarity(
-      Some(SpatialRel("V", 0, 0.0)), Some(SpatialRel("V", 0, 0.0))) == 1.0)
+      Some(SpatialRel(V, 0, 0.0)), Some(SpatialRel(V, 0, 0.0))) == 1.0)
   }
 
   // --- Hungarian matching
@@ -130,8 +133,126 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val g = grid("1|2", "3|4", " | ", "a|b")
     val l = layoutOf("a", g, Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))
     assert(l.size == 2)
-    assert(l.edges(0)(0).isEmpty && l.edges(1)(1).isEmpty)
-    assert(l.edges(0)(1).contains(Geometry.spatialRel(Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))))
-    assert(l.edges(1)(0).contains(Geometry.spatialRel(Rect(0, 3, 1, 3), Rect(0, 0, 1, 1))))
+    assert(l.edge(0, 0).isEmpty && l.edge(1, 1).isEmpty)
+    assert(l.edge(0, 1).contains(Geometry.spatialRel(Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))))
+    assert(l.edge(1, 0).contains(Geometry.spatialRel(Rect(0, 3, 1, 3), Rect(0, 0, 1, 1))))
+  }
+
+  // --- properties of the flooding kernel against the reference formulation
+
+  private def holds(prop: Prop): Unit = {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(400).withInitialSeed(Seed(20211L))
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
+
+  /** Fingerprints near three base histograms, so that region pairs range
+    * from unrelated to identical; a constant one has zero variance.
+    */
+  private val baseHistograms: Vector[Array[Double]] = {
+    val rnd = new scala.util.Random(3)
+    Vector.fill(3)(Array.fill(RegionSimilarity.HistogramBins)(rnd.nextInt(4).toDouble))
+  }
+  private val genHistogram: Gen[Array[Double]] = Gen.frequency(
+    1 -> Gen.const(Array.fill(RegionSimilarity.HistogramBins)(2.0)),
+    6 -> (for {
+      base <- Gen.oneOf(baseHistograms)
+      bin  <- Gen.choose(0, RegionSimilarity.HistogramBins - 1)
+      bump <- Gen.choose(0, 3)
+    } yield { val h = base.clone(); h(bin) += bump; h }))
+
+  private val genBox: Gen[Rect] = for {
+    x <- Gen.choose(0, 6); y <- Gen.choose(0, 8); w <- Gen.choose(1, 3); h <- Gen.choose(1, 3)
+  } yield Rect(x, y, x + w - 1, y + h - 1)
+
+  private def genRegions(id: String): Gen[Vector[Region]] = for {
+    n  <- Gen.choose(1, 6)
+    rs <- Gen.listOfN(n, for (b <- genBox; h <- genHistogram) yield Region(id, b, Vector(b), h, b.area.toInt))
+  } yield rs.toVector
+
+  /** Missing edges and few feature values, so that Φ ties often. */
+  private val genRel: Gen[Option[SpatialRel]] = Gen.frequency(
+    1 -> Gen.const(None),
+    4 -> (for {
+      d    <- Gen.oneOf(Alignment.values)
+      m    <- Gen.choose(0L, 3L)
+      dist <- Gen.oneOf(0.0, 1.0, 2.0, math.sqrt(2.0))
+    } yield Some(SpatialRel(d, m, dist))))
+
+  /** Geometric layouts, hand-built ones with missing edges, and ones whose
+    * edge features are all 0 (zero feature scale).
+    */
+  private def genLayout(id: String): Gen[LayoutGraph] = genRegions(id).flatMap { rs =>
+    val n = rs.size
+    Gen.oneOf(
+      Gen.const(LayoutGraph.build(id, rs)),
+      Gen.listOfN(n * n, genRel).map(es => LayoutGraph(id, rs, (i, j) => es(i * n + j))),
+      Gen.listOfN(n * n, Gen.oneOf(Alignment.values))
+        .map(ds => LayoutGraph(id, rs, (i, j) => Some(SpatialRel(ds(i * n + j), 0L, 0.0)))))
+  }
+
+  /** A layout of the same template: one fingerprint bumped, maybe a region dropped. */
+  private def genVariant(a: LayoutGraph): Gen[LayoutGraph] = for {
+    k    <- Gen.choose(0, a.size - 1)
+    bin  <- Gen.choose(0, RegionSimilarity.HistogramBins - 1)
+    drop <- Gen.oneOf(a.size > 1, false)
+  } yield {
+    val r = a.regions(k)
+    val h = r.histogram.clone(); h(bin) += 1
+    val rs = a.regions.updated(k, r.copy(fileId = "b", histogram = h))
+    LayoutGraph("b", if (drop) rs.init else rs, a.edge)
+  }
+
+  private val genPair: Gen[(LayoutGraph, LayoutGraph)] = Gen.frequency(
+    1 -> (for (a <- genLayout("a"); b <- genLayout("b")) yield (a, b)),
+    1 -> (for (a <- genLayout("a"); b <- genVariant(a)) yield (a, b)))
+
+  private val genParams: Gen[SimilarityFlooding.Params] = for {
+    it <- Gen.oneOf(0, 1, 2, 10)
+    sd <- Gen.oneOf(0.1, 1e-3, 0.0)
+  } yield SimilarityFlooding.Params(it, sd)
+
+  test("property: the kernel returns the reference's doubles bit for bit") {
+    holds(Prop.forAllNoShrink(genPair, genParams) { case ((a, b), p) =>
+      val got = SimilarityFlooding.similarity(a, b, p)
+      val ref = ReferenceFlooding.similarity(a, b, p)
+      (java.lang.Double.doubleToLongBits(got) == java.lang.Double.doubleToLongBits(ref)) :| s"$got vs $ref"
+    })
+  }
+
+  test("property: with atLeast = τ the kernel keeps exactly the reference's scores ≥ τ") {
+    val genTau = Gen.oneOf(Gen.choose(0.3, 1.0), Gen.oneOf(0.7, 0.9, 0.99))
+    holds(Prop.forAllNoShrink(genPair, genParams, genTau) { case ((a, b), p, tau) =>
+      val ref = ReferenceFlooding.similarity(a, b, p)
+      // τ = ref and τ just above it probe the threshold itself
+      Prop.all(Seq(tau, ref, ref + 1e-12).map { t =>
+        val got = SimilarityFlooding.similarity(a, b, p, atLeast = t)
+        (if (ref >= t) got == ref else got < t && got >= ref) :| s"τ=$t: $got vs reference $ref"
+      }: _*)
+    })
+  }
+
+  test("property: the flooding bound is at least the score and at most the node-count bound") {
+    holds(Prop.forAllNoShrink(genPair, genParams) { case ((a, b), p) =>
+      val ref = ReferenceFlooding.similarity(a, b, p)
+      // atLeast above 1 always returns the bound; sizeBound rounds differently
+      val bound = SimilarityFlooding.similarity(a, b, p, atLeast = 2.0)
+      (bound >= ref && bound <= LayoutGraph.sizeBound(a.size, b.size) + 1e-12) :| s"bound $bound, reference $ref"
+    })
+  }
+
+  test("property: similarity is symmetric and within [0, 1]") {
+    holds(Prop.forAllNoShrink(genPair, genParams) { case ((a, b), p) =>
+      val ab = SimilarityFlooding.similarity(a, b, p)
+      (ab == SimilarityFlooding.similarity(b, a, p) && ab >= 0.0 && ab <= 1.0) :| s"$ab"
+    })
+  }
+
+  test("property: a layout scores 1 against itself") {
+    holds(Prop.forAllNoShrink(genLayout("a"), genParams) { (a, p) =>
+      val s = SimilarityFlooding.similarity(a, a, p)
+      (math.abs(s - 1.0) < 1e-12) :| s"$s"
+    })
   }
 }
