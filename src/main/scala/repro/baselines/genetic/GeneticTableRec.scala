@@ -2,7 +2,7 @@ package repro.baselines.genetic
 
 import scala.util.Random
 import org.apache.spark.sql.SparkSession
-import repro.core.{Cells, FileGrid, Geometry, Segmentation}
+import repro.core.{FileGrid, Geometry}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.{GoldFile, Role}
 
@@ -34,7 +34,6 @@ object GeneticTableRec {
   /** Content + position (+ style) features of one cell. */
   def features(f: GoldFile, x: Int, y: Int, useStyle: Boolean): Array[Double] = {
     val v = f.rows(y)(x)
-    val t = Cells.synType(v)
     val letters = v.count(_.isLetter)
     val digits  = v.count(_.isDigit)
     val base = Array[Double](
@@ -42,7 +41,7 @@ object GeneticTableRec {
       if (v.isEmpty) 0.0 else digits.toDouble / v.length,
       if (v.isEmpty) 0.0 else letters.toDouble / v.length,
       if (letters == 0) 0.0 else v.count(_.isUpper).toDouble / letters,
-      t.code.toDouble,
+      f.grid.typeCode(x, y).toDouble,
       x.toDouble,
       y.toDouble,
       if (y == 0) 1.0 else 0.0,
@@ -148,10 +147,11 @@ object GeneticTableRec {
     * not mixing metadata with table content are rewarded per group.
     */
   def fitness(grid: FileGrid, vs: Vector[Vertex], groups: Vector[Vector[Int]]): Double = {
-    val cells = grid.nonEmptyCells
-    val total = math.max(1, cells.size)
+    val img = grid.image
+    val perRow = (0 until grid.height).map(y => img.nonEmpty(Rect(0, y, grid.width - 1, y)))
+    val total = math.max(1, perRow.sum)
     // average cells per occupied row: the cost of swallowing one empty row
-    val rowFill = total.toDouble / math.max(1, cells.map(_._2).distinct.size)
+    val rowFill = total.toDouble / math.max(1, perRow.count(_ > 0))
     // per-group penalty between one and two swallowed rows: merging across
     // a single empty row pays off, merging across wider gaps does not
     val groupPenalty = 1.5 * rowFill
@@ -159,9 +159,7 @@ object GeneticTableRec {
     for (g <- groups) {
       val boxes = g.map(vs(_).box)
       val box = Geometry.boundary(boxes)
-      val nonEmpty = box.cells.count { case (x, y) =>
-        x < grid.width && y < grid.height && !Cells.isEmpty(grid.cell(x, y))
-      }
+      val nonEmpty = img.nonEmpty(box)
       val swallowedEmpty = box.area - nonEmpty
       val hasData = g.exists(vs(_).label == 0)
       val hasMeta = g.exists(vs(_).label == 2)

@@ -40,14 +40,9 @@ object TableSenseSim {
 
   /** Pooled feature vector of a candidate box (plus bias term). */
   def boxFeatures(grid: FileGrid, box: Rect): Array[Double] = {
-    var nonEmpty = 0
-    val typeCounts = new Array[Int](Cells.all.size)
-    for (y <- math.max(0, box.y0) to math.min(grid.height - 1, box.y1);
-         x <- math.max(0, box.x0) to math.min(grid.width - 1, box.x1)) {
-      val t = Cells.synType(grid.cell(x, y))
-      typeCounts(t.code) += 1
-      if (t != Cells.Empty) nonEmpty += 1
-    }
+    val img = grid.image
+    val nonEmpty = img.nonEmpty(box)
+    val typeCounts = Array.tabulate(Cells.all.size)(img.count(_, box))
     val area = box.area.toDouble
     val density = nonEmpty / area
     val entropy = {
@@ -74,7 +69,7 @@ object TableSenseSim {
   def proposals(grid: FileGrid): Vector[Rect] = {
     val w = grid.width; val h = grid.height
     if (w == 0 || h == 0) return Vector.empty
-    val nonEmpty = Array.tabulate(h, w)((y, x) => !Cells.isEmpty(grid.cell(x, y)))
+    val img = grid.image
     def components(filled: Array[Array[Boolean]]): Vector[Rect] = {
       val seen = Array.fill(h, w)(false)
       val out = Vector.newBuilder[Rect]
@@ -85,7 +80,7 @@ object TableSenseSim {
         val st = scala.collection.mutable.ArrayDeque((x, y)); seen(y)(x) = true
         while (st.nonEmpty) {
           val (cx, cy) = st.removeLast()
-          if (nonEmpty(cy)(cx)) {
+          if (!img.isEmpty(cx, cy)) {
             minX = math.min(minX, cx); maxX = math.max(maxX, cx)
             minY = math.min(minY, cy); maxY = math.max(maxY, cy)
           }
@@ -98,22 +93,9 @@ object TableSenseSim {
       }
       out.result()
     }
+    // a cell is filled iff its (2r+1)² window holds a non-empty cell
     def dilate(r: Int): Array[Array[Boolean]] =
-      if (r == 0) nonEmpty
-      else Array.tabulate(h, w) { (y, x) =>
-        var f = false
-        var dy = -r
-        while (dy <= r && !f) {
-          var dx = -r
-          while (dx <= r && !f) {
-            val ny = y + dy; val nx = x + dx
-            if (ny >= 0 && ny < h && nx >= 0 && nx < w && nonEmpty(ny)(nx)) f = true
-            dx += 1
-          }
-          dy += 1
-        }
-        f
-      }
+      Array.tabulate(h, w)((y, x) => img.nonEmpty(Rect(x - r, y - r, x + r, y + r)) > 0)
     (1 to 2).flatMap(r => components(dilate(r))).distinct.toVector
   }
 

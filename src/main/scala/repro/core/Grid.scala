@@ -18,53 +18,80 @@ final case class FileGrid(fileId: String, rows: Array[Array[String]]) {
 
   def cell(x: Int, y: Int): String = rows(y)(x)
 
+  /** The file's type image, built on first use; every stage that needs cell
+    * types reads it instead of re-typing the raw strings.
+    */
+  @transient lazy val image: TypeImage = TypeImage(this)
+
   /** Syntactic-type code of cell (x, y); 0 is Empty. */
-  def typeCode(x: Int, y: Int): Int = Cells.synType(rows(y)(x)).code
+  def typeCode(x: Int, y: Int): Int = image.code(x, y)
 
   /** All non-empty cell coordinates, row-major. */
   def nonEmptyCells: IndexedSeq[(Int, Int)] =
     for {
       y <- 0 until height
       x <- 0 until width
-      if !Cells.isEmpty(rows(y)(x))
+      if !image.isEmpty(x, y)
     } yield (x, y)
 }
 
 object Grid {
 
-  /** Splits one csv line on the delimiter, honoring double-quote quoting
-    * (quotes may wrap fields containing delimiters; "" escapes a quote).
+  /** Splits csv text into records in one pass (RFC 4180 quoting): a field
+    * wrapped in double quotes may contain the delimiter, newlines and `""`
+    * (an escaped quote); outside quotes, "\n" and "\r\n" end a record.
+    * There is one record per line, as `text.split("\n", -1)` would cut it;
+    * a line without any character is an empty array.
     */
-  def splitCsvLine(line: String, delim: Char = ','): Array[String] = {
-    val out = scala.collection.mutable.ArrayBuffer.empty[String]
-    val sb  = new StringBuilder
-    var inQ = false
-    var i   = 0
-    while (i < line.length) {
-      val c = line.charAt(i)
+  private def records(text: String, delim: Char): Vector[Array[String]] = {
+    val out    = Vector.newBuilder[Array[String]]
+    val fields = scala.collection.mutable.ArrayBuffer.empty[String]
+    val sb     = new StringBuilder
+    var inQ    = false
+    var blank  = true
+    def endField(): Unit = { fields += sb.result(); sb.clear() }
+    def endRecord(): Unit = {
+      if (blank) out += Array.empty[String] else { endField(); out += fields.toArray }
+      fields.clear(); blank = true
+    }
+    val n = text.length
+    var i = 0
+    while (i < n) {
+      val c = text.charAt(i)
       if (inQ) {
         if (c == '"') {
-          if (i + 1 < line.length && line.charAt(i + 1) == '"') { sb.append('"'); i += 1 }
+          if (i + 1 < n && text.charAt(i + 1) == '"') { sb.append('"'); i += 1 }
           else inQ = false
         } else sb.append(c)
-      } else {
+      } else if (c == '\n') endRecord()
+      else if (c == '\r' && i + 1 < n && text.charAt(i + 1) == '\n') { endRecord(); i += 1 }
+      else {
+        blank = false
         if (c == '"') inQ = true
-        else if (c == delim) { out += sb.result(); sb.clear() }
+        else if (c == delim) endField()
         else sb.append(c)
       }
       i += 1
     }
-    out += sb.result()
-    out.toArray
+    endRecord()
+    out.result()
   }
 
-  /** Parses csv text into a padded [[FileGrid]] (paper §4.1). */
+  /** Splits one csv line on the delimiter, honoring double-quote quoting
+    * (quotes may wrap fields containing delimiters; "" escapes a quote).
+    * A line break outside quotes ends the line; what follows is dropped.
+    */
+  def splitCsvLine(line: String, delim: Char = ','): Array[String] = {
+    val fields = records(line, delim).head
+    if (fields.isEmpty) Array("") else fields
+  }
+
+  /** Parses csv text into a padded [[FileGrid]] (paper §4.1). Blank lines
+    * inside the file are empty rows; trailing blank lines are dropped.
+    */
   def fromCsv(fileId: String, text: String, delim: Char = ','): FileGrid = {
-    val raw   = text.split("\n", -1).toIndexedSeq
-    val lines = raw.take(raw.lastIndexWhere(_.nonEmpty) + 1)
-    val cells = lines.map(l => splitCsvLine(l, delim))
-    val w     = if (cells.isEmpty) 0 else cells.map(_.length).max
-    FileGrid(fileId, cells.map(r => r.padTo(w, "")).toArray)
+    val rs = records(text, delim)
+    fromRows(fileId, rs.take(rs.lastIndexWhere(_.nonEmpty) + 1).map(_.toSeq))
   }
 
   /** Builds a grid from already-split rows, padding to the longest row. */

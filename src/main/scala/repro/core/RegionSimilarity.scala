@@ -30,20 +30,24 @@ object RegionSimilarity {
   val BinsPerChannel = 64
   val HistogramBins  = 3 * BinsPerChannel
 
-  /** Histogram over all cells of `box` in `grid` (empty cells included). */
+  /** The three bins (R, G, B) that a cell of each type adds 1 to. */
+  private val typeBins: Array[Array[Int]] = Cells.all.map { t =>
+    val (r, g, b) = t.rgb
+    Array(r / 4, BinsPerChannel + g / 4, 2 * BinsPerChannel + b / 4)
+  }.toArray
+
+  /** Histogram over all cells of `box` in `grid` (empty cells included).
+    * Each cell adds 1 to its type's three bins, so the histogram is the sum
+    * over types t of (cells of type t in the box) · (t's three bins).
+    */
   def histogram(grid: FileGrid, box: Rect): Array[Double] = {
+    val img = grid.image
     val h = new Array[Double](HistogramBins)
-    var y = math.max(0, box.y0)
-    while (y <= math.min(grid.height - 1, box.y1)) {
-      var x = math.max(0, box.x0)
-      while (x <= math.min(grid.width - 1, box.x1)) {
-        val (r, g, b) = Cells.synType(grid.cell(x, y)).rgb
-        h(r / 4) += 1
-        h(BinsPerChannel + g / 4) += 1
-        h(2 * BinsPerChannel + b / 4) += 1
-        x += 1
-      }
-      y += 1
+    var t = 0
+    while (t < typeBins.length) {
+      val c = img.count(t, box)
+      if (c > 0) { val bins = typeBins(t); h(bins(0)) += c; h(bins(1)) += c; h(bins(2)) += c }
+      t += 1
     }
     h
   }
@@ -82,9 +86,6 @@ object RegionSimilarity {
     * baseline detections that do not produce element sets).
     */
   def fromBox(grid: FileGrid, box: Rect): Region = {
-    val nonEmpty = box.cells.count { case (x, y) =>
-      x < grid.width && y < grid.height && !Cells.isEmpty(grid.cell(x, y))
-    }
-    Region(grid.fileId, box, Vector(box), histogram(grid, box), nonEmpty)
+    Region(grid.fileId, box, Vector(box), histogram(grid, box), grid.image.nonEmpty(box))
   }
 }

@@ -30,12 +30,12 @@ object Segmentation {
   def connectedComponents(grid: FileGrid): Vector[Component] = {
     val w = grid.width; val h = grid.height
     if (w == 0 || h == 0) return Vector.empty
-    val nonEmpty = Array.tabulate(h, w)((y, x) => !Cells.isEmpty(grid.cell(x, y)))
+    val img      = grid.image
     val label    = Array.fill(h, w)(-1)
     var next     = 0
     val out      = Vector.newBuilder[Component]
     val stack    = new scala.collection.mutable.ArrayDeque[(Int, Int)]()
-    for (y <- 0 until h; x <- 0 until w if nonEmpty(y)(x) && label(y)(x) < 0) {
+    for (y <- 0 until h; x <- 0 until w if !img.isEmpty(x, y) && label(y)(x) < 0) {
       val cells = Vector.newBuilder[(Int, Int)]
       stack.append((x, y)); label(y)(x) = next
       while (stack.nonEmpty) {
@@ -45,7 +45,7 @@ object Segmentation {
         val nb = Array((cx - 1, cy), (cx + 1, cy), (cx, cy - 1), (cx, cy + 1))
         while (i < 4) {
           val (nx, ny) = nb(i)
-          if (nx >= 0 && nx < w && ny >= 0 && ny < h && nonEmpty(ny)(nx) && label(ny)(nx) < 0) {
+          if (nx >= 0 && nx < w && ny >= 0 && ny < h && !img.isEmpty(nx, ny) && label(ny)(nx) < 0) {
             label(ny)(nx) = next; stack.append((nx, ny))
           }
           i += 1

@@ -89,7 +89,10 @@ object SpreadsheetGen {
   final case class GoldFile(fileId: String, templateId: String, outlier: Boolean,
                             rows: Array[Array[String]], roles: Array[Array[Byte]],
                             bold: Array[Array[Boolean]], regions: Vector[GoldRegion]) {
-    def grid: FileGrid = FileGrid(fileId, rows)
+    /** The file's grid, built once so that its type image is too; not
+      * serialized (a task rebuilds it from `rows`).
+      */
+    @transient lazy val grid: FileGrid = FileGrid(fileId, rows)
     def regionBoxes: Vector[Rect] = regions.map(_.box)
   }
 

@@ -1,7 +1,7 @@
 package repro.eval
 
 import repro.core.Geometry.Rect
-import repro.core.{Cells, FileGrid}
+import repro.core.FileGrid
 
 /** Evaluation metrics of paper §5.3 (IoU, EoB) and §5.4 (homogeneity,
   * completeness, v-measure after Rosenberg & Hirschberg).
@@ -9,18 +9,16 @@ import repro.core.{Cells, FileGrid}
 object Metrics {
 
   /** Intersection-over-Union of the *non-empty* cells of two boxes in a
-    * grid (paper §5.3: P and T are the sets of non-empty cells).
+    * grid (paper §5.3: P and T are the sets of non-empty cells). P ∩ T are
+    * the non-empty cells of the boxes' intersection, so three box counts
+    * on the type image give the score.
     */
   def iou(grid: FileGrid, p: Rect, t: Rect): Double = {
-    def nonEmptyCells(r: Rect): Set[(Int, Int)] =
-      (for {
-        y <- math.max(0, r.y0) to math.min(grid.height - 1, r.y1)
-        x <- math.max(0, r.x0) to math.min(grid.width - 1, r.x1)
-        if !Cells.isEmpty(grid.cell(x, y))
-      } yield (x, y)).toSet
-    val ps = nonEmptyCells(p); val ts = nonEmptyCells(t)
-    val inter = (ps & ts).size
-    val union = ps.size + ts.size - inter
+    val img = grid.image
+    val x0 = math.max(p.x0, t.x0); val x1 = math.min(p.x1, t.x1)
+    val y0 = math.max(p.y0, t.y0); val y1 = math.min(p.y1, t.y1)
+    val inter = if (x0 <= x1 && y0 <= y1) img.nonEmpty(Rect(x0, y0, x1, y1)) else 0
+    val union = img.nonEmpty(p) + img.nonEmpty(t) - inter
     if (union == 0) { if (inter == 0) 1.0 else 0.0 } else inter.toDouble / union
   }
 

@@ -5,14 +5,16 @@ import repro.corpus.Corpora
 import repro.corpus.SpreadsheetGen.GoldFile
 import repro.eval.Strategies
 
-/** Full-corpus gate for the flooding kernel and its early exit: on the
-  * Deco-like corpus with Static Radius regions and the Fuste-like corpus
-  * with Dynamic Radius regions (τ_r = 0.75, outliers excluded), every
+/** Full-corpus gate for region detection on the type image and for the
+  * flooding kernel and its early exit: on the Deco-like corpus with Static
+  * Radius regions and the Fuste-like corpus with Dynamic Radius regions
+  * (τ_r = 0.75, outliers excluded), every file's regions must equal those
+  * that [[ReferenceTyping]] builds and scores cell by cell, and every
   * candidate pair within the node-count bound 0.7 is scored by
-  * [[ReferenceFlooding]], and inference must reproduce it exactly.
+  * [[ReferenceFlooding]], which inference must reproduce exactly.
   */
 class FullCorpusFloodingSpec extends SparkSpec {
-  import FullCorpusFloodingSpec.Case
+  import FullCorpusFloodingSpec.{Case, regionKey}
 
   private val tauRegion = 0.75
   private val minTau = 0.7
@@ -30,7 +32,7 @@ class FullCorpusFloodingSpec extends SparkSpec {
     val scores = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
       .map { case (a, b) => (a, b) -> ReferenceFlooding.similarity(bc.value(a), bc.value(b)) }
       .collect().toMap
-    Case(layouts, scores)
+    Case(files, strategy, dataset, layouts, scores)
   }
 
   private lazy val deco  = prepare(Corpora.excludeOutliers(Corpora.deco(spark)), "Static Radius", "deco")
@@ -45,6 +47,22 @@ class FullCorpusFloodingSpec extends SparkSpec {
   private def groups(m: Map[String, Int]): Set[Set[String]] = m.groupBy(_._2).values.map(_.keys.toSet).toSet
 
   for ((name, c) <- Seq("deco static radius" -> (() => deco), "fuste dynamic radius" -> (() => fuste))) {
+    test(s"$name: every file's regions equal the cell-by-cell reference's") {
+      val cs = c()
+      val p = Strategies.paramsFor(cs.dataset)
+      val detect: GoldFile => Vector[Region] = cs.strategy match {
+        case "Static Radius"  => f => ReferenceTyping.detectRegions(f.grid, p)
+        case "Dynamic Radius" => f => ReferenceTyping.detectRegionsDynamic(f.grid, p, f.regionBoxes)
+      }
+      val want = spark.sparkContext.parallelize(cs.corpus, spark.sparkContext.defaultParallelism * 4)
+        .map(f => f.fileId -> detect(f).map(regionKey))
+        .collect().toMap
+      val got = cs.layouts.map(g => g.fileId -> g.regions.map(regionKey)).toMap
+      val diffs = cs.files.filter(id => got(id) != want(id))
+      assert(got.values.map(_.size).sum > cs.files.size)
+      assert(diffs.isEmpty, s"${diffs.size} of ${cs.files.size} files differ, e.g. ${diffs.take(3)}")
+    }
+
     test(s"$name: the exact kernel returns the reference's doubles on every size-bound survivor") {
       val cs = c()
       val byFile = cs.layouts.map(g => g.fileId -> g).toMap
@@ -76,7 +94,12 @@ class FullCorpusFloodingSpec extends SparkSpec {
 }
 
 object FullCorpusFloodingSpec {
-  private final case class Case(layouts: Vector[LayoutGraph], reference: Map[(String, String), Double]) {
+  private final case class Case(corpus: Vector[GoldFile], strategy: String, dataset: String,
+                                layouts: Vector[LayoutGraph], reference: Map[(String, String), Double]) {
     def files: Vector[String] = layouts.map(_.fileId)
   }
+
+  /** A region's fields, its histogram as raw bits. */
+  private def regionKey(r: Region) =
+    (r.fileId, r.box, r.elements, r.histogram.toSeq.map(java.lang.Double.doubleToRawLongBits), r.cellCount)
 }

@@ -43,6 +43,21 @@ class GridSpec extends AnyFunSuite {
     assert(g.height == 0 && g.width == 0 && g.nonEmptyCells.isEmpty)
   }
 
+  test("fromCsv keeps a quoted newline inside its field") {
+    val g = Grid.fromCsv("f", "a,\"line 1\nline 2\",c\nx,y,z\n")
+    assert(g.height == 2 && g.width == 3)
+    assert(g.cell(1, 0) == "line 1\nline 2" && g.cell(2, 0) == "c" && g.cell(0, 1) == "x")
+  }
+  test("fromCsv reads \\r\\n line ends, also inside quotes") {
+    val g = Grid.fromCsv("f", "a,\"b,\r\nc\"\r\n1,2\r\n\r\n")
+    assert(g.height == 2 && g.width == 2)
+    assert(g.cell(1, 0) == "b,\r\nc" && g.cell(0, 1) == "1" && g.cell(1, 1) == "2")
+  }
+  test("fromCsv of a header-only file is one row") {
+    for (text <- Seq("a,b,c", "a,b,c\n", "a,b,c\r\n"))
+      assert(Grid.fromCsv("f", text).rows.map(_.toSeq).toSeq == Seq(Seq("a", "b", "c")), text)
+  }
+
   test("fromRows pads to the longest row") {
     val g = Grid.fromRows("f", Seq(Seq("a"), Seq("b", "c")))
     assert(g.width == 2 && g.cell(1, 0) == "")

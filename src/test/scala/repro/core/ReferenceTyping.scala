@@ -1,0 +1,101 @@
+package repro.core
+
+import repro.core.Geometry.Rect
+
+/** Reference cell-by-cell versions of the stages that read the type image,
+  * for the tests: each re-types the raw strings of every cell it visits,
+  * as the code did before [[TypeImage]]. The image-backed functions must
+  * return the same values, histograms bit for bit.
+  */
+object ReferenceTyping {
+
+  private def isEmpty(grid: FileGrid, x: Int, y: Int): Boolean = Cells.isEmpty(grid.cell(x, y))
+
+  def histogram(grid: FileGrid, box: Rect): Array[Double] = {
+    val h = new Array[Double](RegionSimilarity.HistogramBins)
+    val bins = RegionSimilarity.BinsPerChannel
+    for (y <- math.max(0, box.y0) to math.min(grid.height - 1, box.y1);
+         x <- math.max(0, box.x0) to math.min(grid.width - 1, box.x1)) {
+      val (r, g, b) = Cells.synType(grid.cell(x, y)).rgb
+      h(r / 4) += 1
+      h(bins + g / 4) += 1
+      h(2 * bins + b / 4) += 1
+    }
+    h
+  }
+
+  def fromElements(grid: FileGrid, elems: Vector[Rect]): Region = {
+    val box = Geometry.boundary(elems)
+    Region(grid.fileId, box, elems, histogram(grid, box), elems.map(_.area).sum.toInt)
+  }
+
+  def fromBox(grid: FileGrid, box: Rect): Region = {
+    val nonEmpty = box.cells.count { case (x, y) =>
+      x < grid.width && y < grid.height && !isEmpty(grid, x, y)
+    }
+    Region(grid.fileId, box, Vector(box), histogram(grid, box), nonEmpty)
+  }
+
+  def iou(grid: FileGrid, p: Rect, t: Rect): Double = {
+    def nonEmptyCells(r: Rect): Set[(Int, Int)] =
+      (for {
+        y <- math.max(0, r.y0) to math.min(grid.height - 1, r.y1)
+        x <- math.max(0, r.x0) to math.min(grid.width - 1, r.x1)
+        if !isEmpty(grid, x, y)
+      } yield (x, y)).toSet
+    val ps = nonEmptyCells(p); val ts = nonEmptyCells(t)
+    val inter = (ps & ts).size
+    val union = ps.size + ts.size - inter
+    if (union == 0) { if (inter == 0) 1.0 else 0.0 } else inter.toDouble / union
+  }
+
+  /** Mean IoU of the gold boxes against their best-overlapping region. */
+  def meanIou(grid: FileGrid, regions: Vector[Region], gold: Vector[Rect]): Double =
+    if (gold.isEmpty) 0.0
+    else gold.map(t => if (regions.isEmpty) 0.0 else regions.map(r => iou(grid, r.box, t)).max).sum / gold.size
+
+  /** Segmentation elements from 4-connected components of the non-empty
+    * cells, each found by a flood fill over re-typed cells.
+    */
+  def elements(grid: FileGrid): Vector[Rect] = {
+    val w = grid.width; val h = grid.height
+    val label = Array.fill(h, w)(false)
+    val out = Vector.newBuilder[Segmentation.Component]
+    for (y <- 0 until h; x <- 0 until w if !isEmpty(grid, x, y) && !label(y)(x)) {
+      val cells = Vector.newBuilder[(Int, Int)]
+      val stack = scala.collection.mutable.ArrayDeque((x, y)); label(y)(x) = true
+      while (stack.nonEmpty) {
+        val (cx, cy) = stack.removeLast()
+        cells += ((cx, cy))
+        for ((nx, ny) <- Seq((cx - 1, cy), (cx + 1, cy), (cx, cy - 1), (cx, cy + 1)))
+          if (nx >= 0 && nx < w && ny >= 0 && ny < h && !isEmpty(grid, nx, ny) && !label(ny)(nx)) {
+            label(ny)(nx) = true; stack.append((nx, ny))
+          }
+      }
+      out += Segmentation.Component(cells.result())
+    }
+    out.result().flatMap(Segmentation.partition)
+  }
+
+  /** Static Radius detection (`Mondrian.detectRegions`) on re-typed cells. */
+  def detectRegions(grid: FileGrid, p: Clustering.Params): Vector[Region] = {
+    val elems = elements(grid)
+    if (elems.isEmpty) Vector.empty
+    else Clustering.clusterElements(elems, p).map(fromElements(grid, _))
+  }
+
+  /** Dynamic Radius detection against gold (`Strategies` "Dynamic Radius")
+    * on re-typed cells.
+    */
+  def detectRegionsDynamic(grid: FileGrid, p: Clustering.Params, gold: Vector[Rect]): Vector[Region] = {
+    val elems = elements(grid)
+    var best = Double.NegativeInfinity
+    var bestRegions = Vector.empty[Region]
+    if (elems.nonEmpty) for (eps <- Mondrian.RadiusGrid) {
+      val regions = Clustering.clusterElements(elems, p.copy(eps = eps)).map(fromElements(grid, _))
+      val s = meanIou(grid, regions, gold)
+      if (s > best) { best = s; bestRegions = regions }
+    }
+    bestRegions
+  }
+}
