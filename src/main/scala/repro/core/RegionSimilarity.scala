@@ -3,16 +3,24 @@ package repro.core
 import repro.core.Geometry.Rect
 
 /** A detected region: the bounding box of a cluster of elements plus its
-  * color-histogram fingerprint (paper §4.2).
+  * fingerprint (paper §4.2).
   *
   * @param fileId    owning file
   * @param box       region boundary (Def 7)
   * @param elements  member element rectangles
-  * @param histogram 192-bin color histogram (64 bins per RGB channel)
+  * @param counts    number of cells of each type (`Cells.SynType.code`
+  *                  0..8, Empty included) in the box: the fingerprint
   * @param cellCount number of non-empty cells in the region
   */
 final case class Region(fileId: String, box: Rect, elements: Vector[Rect],
-                        histogram: Array[Double], cellCount: Int)
+                        counts: Array[Int], cellCount: Int) {
+
+  /** The 192-bin color histogram (64 bins per RGB channel) of the box. */
+  @transient lazy val histogram: Array[Double] = RegionSimilarity.histogram(counts)
+
+  /** G·counts, this region's half of the closed-form cross-correlation. */
+  @transient private[core] lazy val weighted: Array[Long] = RegionSimilarity.weigh(counts)
+}
 
 /** Region fingerprinting and similarity (paper §4.2).
   *
@@ -24,11 +32,20 @@ final case class Region(fileId: String, box: Rect, elements: Vector[Rect],
   * normalized cross-correlation of the two fingerprints, clamped to [0, 1].
   * Shades of one primary color land in nearby bins, so sub-types of a
   * fundamental type stay more similar than different fundamental types.
+  *
+  * A cell's type alone fixes its three bins, so the histogram is
+  * h = Σ_t c_t·e_t over the 9 type counts c_t of the box, where e_t is the
+  * 0/1 vector of t's bins. Regions therefore store only the counts, and the
+  * cross-correlation is computed from them in closed form (DESIGN.md §5.2):
+  * with G(t, s) the number of bins types t and s share, a·b = cᵀGc′ and
+  * Σa = 3·Σc, so the centred sums scaled by the 192 bins are integers.
   */
 object RegionSimilarity {
 
   val BinsPerChannel = 64
   val HistogramBins  = 3 * BinsPerChannel
+
+  private val Types = Cells.all.size
 
   /** The three bins (R, G, B) that a cell of each type adds 1 to. */
   private val typeBins: Array[Array[Int]] = Cells.all.map { t =>
@@ -36,16 +53,26 @@ object RegionSimilarity {
     Array(r / 4, BinsPerChannel + g / 4, 2 * BinsPerChannel + b / 4)
   }.toArray
 
-  /** Histogram over all cells of `box` in `grid` (empty cells included).
-    * Each cell adds 1 to its type's three bins, so the histogram is the sum
-    * over types t of (cells of type t in the box) · (t's three bins).
+  /** Bin-overlap matrix G(t, s) = e_t·e_s: the number of bins that types t
+    * and s share (3 on the diagonal).
     */
-  def histogram(grid: FileGrid, box: Rect): Array[Double] = {
+  private[core] val overlap: Array[Array[Int]] =
+    Array.tabulate(Types, Types)((t, s) => typeBins(t).count(typeBins(s).contains))
+
+  /** The 9 type counts of `box` in `grid`: the region fingerprint. */
+  def counts(grid: FileGrid, box: Rect): Array[Int] = {
     val img = grid.image
+    Array.tabulate(Types)(img.count(_, box))
+  }
+
+  /** The 192-bin histogram h = Σ_t counts(t)·e_t. Bin values are integers,
+    * which doubles hold exactly, so this equals the cell-by-cell sum.
+    */
+  def histogram(counts: Array[Int]): Array[Double] = {
     val h = new Array[Double](HistogramBins)
     var t = 0
-    while (t < typeBins.length) {
-      val c = img.count(t, box)
+    while (t < Types) {
+      val c = counts(t)
       if (c > 0) { val bins = typeBins(t); h(bins(0)) += c; h(bins(1)) += c; h(bins(2)) += c }
       t += 1
     }
@@ -71,21 +98,77 @@ object RegionSimilarity {
     else math.min(1.0, math.max(0.0, num / math.sqrt(da * db)))
   }
 
+  /** G·c. */
+  private[core] def weigh(c: Array[Int]): Array[Long] = Array.tabulate(Types) { t =>
+    var s = 0L; var u = 0
+    while (u < Types) { s += overlap(t)(u).toLong * c(u); u += 1 }
+    s
+  }
+
+  private def dot(w: Array[Long], c: Array[Int]): Long = {
+    var s = 0L; var t = 0
+    while (t < Types) { s += w(t) * c(t); t += 1 }
+    s
+  }
+
+  /** Number of cells Σc. */
+  private def total(c: Array[Int]): Long = { var s = 0L; var t = 0; while (t < Types) { s += c(t); t += 1 }; s }
+
+  /** 192 · Σ(a_i − mean)² = 192·cᵀGc − (3·Σc)², exact for regions of up to
+    * ~10⁸ cells.
+    */
+  private def spread(c: Array[Int], gc: Array[Long]): Long = {
+    val n = total(c)
+    HistogramBins * dot(gc, c) - 9 * n * n
+  }
+
+  /** [[crossCorrelation]] of two histograms from closed-form terms: their
+    * dot product `ab`, cell totals `na`, `nb` and [[spread]]s `va`, `vb`.
+    * The integer terms are exact (192·a·b − Σa·Σb is the numerator scaled
+    * by 192); only the square root and the division round. Same clamp and
+    * same zero-variance rule (a histogram is constant only when its box has
+    * no cells).
+    */
+  private def ncc(ab: Long, na: Long, nb: Long, va: Long, vb: Long): Double =
+    if (va == 0L || vb == 0L) { if (va == vb) 1.0 else 0.0 }
+    else {
+      val num = HistogramBins * ab - 9 * na * nb
+      math.min(1.0, math.max(0.0, num / math.sqrt(va.toDouble * vb.toDouble)))
+    }
+
   /** Similarity of two regions = cross-correlation of their fingerprints. */
-  def similarity(a: Region, b: Region): Double = crossCorrelation(a.histogram, b.histogram)
+  def similarity(a: Region, b: Region): Double =
+    ncc(dot(a.weighted, b.counts), total(a.counts), total(b.counts),
+        spread(a.counts, a.weighted), spread(b.counts, b.weighted))
+
+  /** The closed-form terms of many regions in flat arrays, for scans over
+    * all region pairs: `similarity(i, j)` equals `similarity(regions(i),
+    * regions(j))` bit for bit.
+    */
+  private[core] final class Index(regions: Array[Region]) extends Serializable {
+    private val counts   = regions.flatMap(_.counts)
+    private val weighted = regions.flatMap(_.weighted)
+    private val totals   = regions.map(r => total(r.counts))
+    private val spreads  = regions.map(r => spread(r.counts, r.weighted))
+
+    def similarity(i: Int, j: Int): Double = {
+      var ab = 0L; var t = 0
+      val wi = i * Types; val cj = j * Types
+      while (t < Types) { ab += weighted(wi + t) * counts(cj + t); t += 1 }
+      ncc(ab, totals(i), totals(j), spreads(i), spreads(j))
+    }
+  }
 
   /** Builds a [[Region]] from a cluster of elements of one file. */
   def fromElements(grid: FileGrid, elems: Vector[Rect]): Region = {
     val box   = Geometry.boundary(elems)
-    val hist  = histogram(grid, box)
     val cells = elems.map(_.area).sum.toInt
-    Region(grid.fileId, box, elems, hist, cells)
+    Region(grid.fileId, box, elems, counts(grid, box), cells)
   }
 
   /** Builds a [[Region]] straight from a bounding box (gold regions or
     * baseline detections that do not produce element sets).
     */
-  def fromBox(grid: FileGrid, box: Rect): Region = {
-    Region(grid.fileId, box, Vector(box), histogram(grid, box), grid.image.nonEmpty(box))
-  }
+  def fromBox(grid: FileGrid, box: Rect): Region =
+    Region(grid.fileId, box, Vector(box), counts(grid, box), grid.image.nonEmpty(box))
 }

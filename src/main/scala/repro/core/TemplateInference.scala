@@ -10,8 +10,9 @@ import org.apache.spark.sql.SparkSession
   * containing matching regions. We implement that fixed point directly as a
   * set-based Spark pipeline:
   *
-  *  1. all-pairs region similarity (broadcast fingerprint index) keeps
-  *     pairs with similarity ≥ τ_r → candidate file pairs;
+  *  1. all-pairs region similarity (broadcast closed-form fingerprint
+  *     index) keeps file pairs with a region pair of similarity ≥ τ_r →
+  *     candidate file pairs;
   *  2. candidate pairs whose node-count bound allows sim ≥ τ_f get a
   *     similarity-flooding layout comparison (parallel Spark map), which
   *     stops early when its upper bound rules out sim ≥ τ_f;
@@ -37,46 +38,72 @@ object TemplateInference {
                           edges: Vector[(String, String, Double)],
                           candidatePairs: Long)
 
-  /** Candidate file pairs from region-fingerprint matches (step 1).
-    *
-    * Regions are compact (192 doubles each), so the full fingerprint index
-    * is broadcast and each partition scans its regions against the index —
-    * the all-pairs comparison the paper's index converges to.
+  /** Candidate file pairs (a, b), a < b, from region-fingerprint matches
+    * (step 1): the files with some region pair of similarity ≥ `tauRegion`.
     */
   def candidatePairs(spark: SparkSession, regions: Vector[Region], tauRegion: Double): Vector[(String, String)] = {
-    import spark.implicits._
-    if (regions.isEmpty) return Vector.empty
-    val idx = spark.sparkContext.broadcast(regions.toArray)
-    val n = regions.length
-    val pairs = spark.range(0, n.toLong).repartition(spark.sparkContext.defaultParallelism)
-      .as[Long]
-      .mapPartitions { it =>
-        val all = idx.value
-        it.flatMap { iL =>
-          val i = iL.toInt
-          val a = all(i)
-          (i + 1 until all.length).iterator.flatMap { j =>
-            val b = all(j)
-            if (a.fileId == b.fileId) None
-            else if (RegionSimilarity.crossCorrelation(a.histogram, b.histogram) >= tauRegion) {
-              val (f1, f2) = if (a.fileId < b.fileId) (a.fileId, b.fileId) else (b.fileId, a.fileId)
-              Some((f1, f2))
-            } else None
+    val files = regions.groupBy(_.fileId).toArray.sortBy(_._1)
+    candidates(spark, files.map(_._2), tauRegion).iterator
+      .map(k => (files(first(k))._1, files(second(k))._1)).toVector
+  }
+
+  /** A file-index pair (a, b), a < b, packed into one Long. */
+  private def pack(a: Int, b: Int): Long = (a.toLong << 32) | b
+  private def first(k: Long): Int = (k >>> 32).toInt
+  private def second(k: Long): Int = k.toInt
+
+  /** Candidate pairs of the files whose regions are `files(0)`, `files(1)`,
+    * …, as packed, sorted file-index pairs.
+    *
+    * The closed-form terms of all regions (124 bytes each) are
+    * broadcast as one [[RegionSimilarity.Index]], grouped by file. Task p of
+    * P owns the file rows a = p, p + P, …, which balances the shrinking
+    * rows, and compares file a with every file b > a until the first region
+    * pair ≥ `tauRegion`, so each candidate is emitted once and nothing is
+    * shuffled — the all-pairs comparison the paper's index converges to.
+    */
+  private def candidates(spark: SparkSession, files: Array[Vector[Region]], tauRegion: Double): Array[Long] = {
+    if (files.length < 2) return Array.empty
+    val sc = spark.sparkContext
+    val start = files.scanLeft(0)(_ + _.size)
+    val bc = sc.broadcast((start, new RegionSimilarity.Index(files.flatten)))
+    val tasks = sc.defaultParallelism
+    val pairs = sc.parallelize(0 until tasks, tasks).map { p =>
+      val (start, index) = bc.value
+      def matches(a: Int, b: Int): Boolean = {
+        var i = start(a)
+        while (i < start(a + 1)) {
+          var j = start(b)
+          while (j < start(b + 1)) {
+            if (index.similarity(i, j) >= tauRegion) return true
+            j += 1
           }
+          i += 1
         }
+        false
       }
-      .distinct()
-      .collect()
-    pairs.toVector
+      val out = Array.newBuilder[Long]
+      val n = start.length - 1
+      var a = p
+      while (a < n) {
+        var b = a + 1
+        while (b < n) { if (matches(a, b)) out += pack(a, b); b += 1 }
+        a += tasks
+      }
+      out.result()
+    }.collect().flatten
+    java.util.Arrays.sort(pairs)
+    pairs
   }
 
   /** Full inference over per-file layout graphs (steps 1–3).
     * `candidatePairs` of the result counts candidates before any pruning.
     */
   def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
-    val cands = candidatePairs(spark, layouts.flatMap(_.regions), p.tauRegion)
-    val edges = scorePairs(spark, layouts, cands, p.tauLayout, p.flooding)
-    Result(templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout), edges, cands.size.toLong)
+    val files = layouts.sortBy(_.fileId).toArray
+    val cands = candidates(spark, files.map(_.regions), p.tauRegion)
+    val edges = scorePairs(spark, files, cands, p.tauLayout, p.flooding)
+    Result(templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout), edges, cands.length.toLong)
   }
 
   /** Layout-similarity edges scoring ≥ `minTau` — used when sweeping τ_f:
@@ -84,29 +111,34 @@ object TemplateInference {
     */
   def scoredEdges(spark: SparkSession, layouts: Vector[LayoutGraph],
                   tauRegion: Double, minTau: Double = 0.7,
-                  flood: SimilarityFlooding.Params = SimilarityFlooding.Params()): Vector[(String, String, Double)] =
-    scorePairs(spark, layouts, candidatePairs(spark, layouts.flatMap(_.regions), tauRegion), minTau, flood)
+                  flood: SimilarityFlooding.Params = SimilarityFlooding.Params()): Vector[(String, String, Double)] = {
+    val files = layouts.sortBy(_.fileId).toArray
+    scorePairs(spark, files, candidates(spark, files.map(_.regions), tauRegion), minTau, flood)
+  }
 
-  /** Scores candidate pairs on Spark and keeps those with layout similarity
-    * ≥ `floor` (step 2). Pairs whose node-count bound (§5.4) is below
-    * `floor` are never flooded, and flooding itself skips pairs whose upper
-    * bound is below `floor`; neither changes an edge ≥ `floor`.
+  /** Scores candidate pairs of `files` (packed indices) on Spark and keeps
+    * those with layout similarity ≥ `floor` (step 2). Pairs whose
+    * node-count bound (§5.4) is below `floor` are never flooded, and
+    * flooding itself skips pairs whose upper bound is below `floor`;
+    * neither changes an edge ≥ `floor`. The layouts and the pairs are
+    * broadcast, and task p of P scores the pairs p, p + P, …, so that
+    * expensive pairs of one template spread over all tasks.
     */
-  private def scorePairs(spark: SparkSession, layouts: Vector[LayoutGraph], cands: Vector[(String, String)],
+  private def scorePairs(spark: SparkSession, files: Array[LayoutGraph], cands: Array[Long],
                          floor: Double, flood: SimilarityFlooding.Params): Vector[(String, String, Double)] = {
-    import spark.implicits._
-    val byFile = layouts.map(g => g.fileId -> g).toMap
-    val toScore = cands.filter { case (a, b) => LayoutGraph.sizeBound(byFile(a).size, byFile(b).size) >= floor }
+    val toScore = cands.filter(k => LayoutGraph.sizeBound(files(first(k)).size, files(second(k)).size) >= floor)
     if (toScore.isEmpty) return Vector.empty
-    val bcLayouts = spark.sparkContext.broadcast(byFile)
-    spark.createDataset(toScore)
-      .repartition(spark.sparkContext.defaultParallelism)
-      .map { case (a, b) =>
-        val g = bcLayouts.value
-        (a, b, SimilarityFlooding.similarity(g(a), g(b), flood, floor))
+    val sc = spark.sparkContext
+    val bc = sc.broadcast((files, toScore))
+    val tasks = sc.defaultParallelism
+    sc.parallelize(0 until tasks, tasks).flatMap { p =>
+      val (gs, ks) = bc.value
+      (p until ks.length by tasks).iterator.flatMap { n =>
+        val a = gs(first(ks(n))); val b = gs(second(ks(n)))
+        val s = SimilarityFlooding.similarity(a, b, flood, floor)
+        if (s >= floor) Some((a.fileId, b.fileId, s)) else None
       }
-      .collect()
-      .iterator.filter(_._3 >= floor).toVector
+    }.collect().toVector
   }
 
   /** Groups files into templates given precomputed edges and a threshold. */
@@ -137,12 +169,11 @@ object TemplateInference {
     val index = scala.collection.mutable.ArrayBuffer.empty[(Region, scala.collection.mutable.Set[String])]
     val candidates = scala.collection.mutable.Set.empty[(String, String)]
     for (g <- layouts) {
-      var matchedAny = false
       for (r <- g.regions) {
         var matched = false
         for ((rt, fs) <- index) {
           if (RegionSimilarity.similarity(r, rt) >= p.tauRegion) {
-            matched = true; matchedAny = true
+            matched = true
             for (ft <- fs if ft != g.fileId) {
               val (a, b) = if (ft < g.fileId) (ft, g.fileId) else (g.fileId, ft)
               candidates += ((a, b))
@@ -152,7 +183,6 @@ object TemplateInference {
         }
         if (!matched) index += ((r, scala.collection.mutable.Set(g.fileId)))
       }
-      if (!matchedAny && g.regions.isEmpty) () // files without regions form no candidates
     }
     val byFile = layouts.map(g => g.fileId -> g).toMap
     val keep = candidates.toVector.map { case (a, b) =>

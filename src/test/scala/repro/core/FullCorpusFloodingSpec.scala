@@ -5,13 +5,16 @@ import repro.corpus.Corpora
 import repro.corpus.SpreadsheetGen.GoldFile
 import repro.eval.Strategies
 
-/** Full-corpus gate for region detection on the type image and for the
-  * flooding kernel and its early exit: on the Deco-like corpus with Static
-  * Radius regions and the Fuste-like corpus with Dynamic Radius regions
+/** Full-corpus gate for region detection on the type image, for the
+  * closed-form region similarity and candidate scan, and for the flooding
+  * kernel and its early exit: on the Deco-like corpus with Static Radius
+  * regions and the Fuste-like corpus with Dynamic Radius regions
   * (τ_r = 0.75, outliers excluded), every file's regions must equal those
-  * that [[ReferenceTyping]] builds and scores cell by cell, and every
-  * candidate pair within the node-count bound 0.7 is scored by
-  * [[ReferenceFlooding]], which inference must reproduce exactly.
+  * that [[ReferenceTyping]] builds and scores cell by cell, every
+  * cross-file region pair must score as under the 192-bin NCC
+  * ([[ReferenceCandidates]]), and every candidate pair within the
+  * node-count bound 0.7 is scored by [[ReferenceFlooding]], which
+  * inference must reproduce exactly.
   */
 class FullCorpusFloodingSpec extends SparkSpec {
   import FullCorpusFloodingSpec.{Case, regionKey}
@@ -63,6 +66,34 @@ class FullCorpusFloodingSpec extends SparkSpec {
       assert(diffs.isEmpty, s"${diffs.size} of ${cs.files.size} files differ, e.g. ${diffs.take(3)}")
     }
 
+    test(s"$name: region similarity and candidate pairs equal the 192-bin reference's") {
+      val cs = c()
+      val regions = cs.layouts.flatMap(_.regions)
+      val bc = spark.sparkContext.broadcast(regions)
+      val tau = tauRegion // the task closure must not capture the suite
+      // per region i: (pairs compared, largest |closed form − 192-bin|,
+      // pairs decided differently at τ_r, reference candidate pairs)
+      val rows = spark.sparkContext.parallelize(regions.indices, spark.sparkContext.defaultParallelism * 4)
+        .map { i =>
+          val rs = bc.value
+          var n = 0L; var err = 0.0; var flips = 0L
+          val hits = Set.newBuilder[(String, String)]
+          for ((j, want) <- ReferenceCandidates.row(rs, i)) {
+            val got = RegionSimilarity.similarity(rs(i), rs(j))
+            n += 1; err = math.max(err, math.abs(got - want))
+            if ((got >= tau) != (want >= tau)) flips += 1
+            if (want >= tau) hits += ReferenceCandidates.filePair(rs(i), rs(j))
+          }
+          (n, err, flips, hits.result())
+        }.collect()
+      assert(rows.map(_._1).sum > 1000000L)
+      assert(rows.map(_._2).max <= 1e-12)
+      assert(rows.map(_._3).sum == 0L)
+      val want = rows.iterator.flatMap(_._4).toSet
+      val got = TemplateInference.candidatePairs(spark, regions, tauRegion)
+      assert(got.size == want.size && got.toSet == want)
+    }
+
     test(s"$name: the exact kernel returns the reference's doubles on every size-bound survivor") {
       val cs = c()
       val byFile = cs.layouts.map(g => g.fileId -> g).toMap
@@ -101,5 +132,6 @@ object FullCorpusFloodingSpec {
 
   /** A region's fields, its histogram as raw bits. */
   private def regionKey(r: Region) =
-    (r.fileId, r.box, r.elements, r.histogram.toSeq.map(java.lang.Double.doubleToRawLongBits), r.cellCount)
+    (r.fileId, r.box, r.elements, r.counts.toSeq, r.histogram.toSeq.map(java.lang.Double.doubleToRawLongBits),
+     r.cellCount)
 }

@@ -24,16 +24,25 @@ object ReferenceTyping {
     h
   }
 
+  /** The 9 type counts of the in-grid cells of `box`. */
+  def counts(grid: FileGrid, box: Rect): Array[Int] = {
+    val c = new Array[Int](Cells.all.size)
+    for (y <- math.max(0, box.y0) to math.min(grid.height - 1, box.y1);
+         x <- math.max(0, box.x0) to math.min(grid.width - 1, box.x1))
+      c(Cells.synType(grid.cell(x, y)).code) += 1
+    c
+  }
+
   def fromElements(grid: FileGrid, elems: Vector[Rect]): Region = {
     val box = Geometry.boundary(elems)
-    Region(grid.fileId, box, elems, histogram(grid, box), elems.map(_.area).sum.toInt)
+    Region(grid.fileId, box, elems, counts(grid, box), elems.map(_.area).sum.toInt)
   }
 
   def fromBox(grid: FileGrid, box: Rect): Region = {
     val nonEmpty = box.cells.count { case (x, y) =>
       x < grid.width && y < grid.height && !isEmpty(grid, x, y)
     }
-    Region(grid.fileId, box, Vector(box), histogram(grid, box), nonEmpty)
+    Region(grid.fileId, box, Vector(box), counts(grid, box), nonEmpty)
   }
 
   def iou(grid: FileGrid, p: Rect, t: Rect): Double = {

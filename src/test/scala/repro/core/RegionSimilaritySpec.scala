@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Geometry.Rect
 
@@ -9,58 +12,61 @@ class RegionSimilaritySpec extends AnyFunSuite {
   private def grid(rows: String*): FileGrid =
     Grid.fromRows("f", rows.map(_.split("\\|", -1).toSeq))
 
+  private def histogram(g: FileGrid, box: Rect): Array[Double] = RegionSimilarity.fromBox(g, box).histogram
+  private def histogram(counts: Array[Int]): Array[Double] = RegionSimilarity.histogram(counts)
+
   test("histogram has 192 bins (64 per channel)") {
     assert(RegionSimilarity.HistogramBins == 192)
-    val h = RegionSimilarity.histogram(grid("1|2"), Rect(0, 0, 1, 0))
+    val h = histogram(grid("1|2"), Rect(0, 0, 1, 0))
     assert(h.length == 192)
   }
   test("each cell contributes one count per channel") {
-    val h = RegionSimilarity.histogram(grid("1|2|3"), Rect(0, 0, 2, 0))
+    val h = histogram(grid("1|2|3"), Rect(0, 0, 2, 0))
     assert(h.slice(0, 64).sum == 3 && h.slice(64, 128).sum == 3 && h.slice(128, 192).sum == 3)
   }
   test("empty cells contribute white counts") {
-    val h = RegionSimilarity.histogram(grid("1| |1"), Rect(0, 0, 2, 0))
+    val h = histogram(grid("1| |1"), Rect(0, 0, 2, 0))
     // white = (255,255,255) -> bin 63 of every channel
     assert(h(63) == 1.0 && h(64 + 63) == 1.0 && h(128 + 63) == 1.0)
   }
   test("histogram bins follow the type colors") {
-    val h = RegionSimilarity.histogram(grid("MWH"), Rect(0, 0, 0, 0))
+    val h = histogram(grid("MWH"), Rect(0, 0, 0, 0))
     val (r, g, b) = Cells.UppercaseSt.rgb
     assert(h(r / 4) == 1.0 && h(64 + g / 4) == 1.0 && h(128 + b / 4) == 1.0)
   }
   test("out-of-grid parts of the box are ignored") {
-    val h = RegionSimilarity.histogram(grid("1"), Rect(0, 0, 5, 5))
+    val h = histogram(grid("1"), Rect(0, 0, 5, 5))
     assert(h.slice(0, 64).sum == 1.0)
   }
 
   test("cross-correlation of a histogram with itself is 1") {
-    val h = RegionSimilarity.histogram(grid("1|a|B C"), Rect(0, 0, 2, 0))
+    val h = histogram(grid("1|a|B C"), Rect(0, 0, 2, 0))
     assert(math.abs(RegionSimilarity.crossCorrelation(h, h) - 1.0) < 1e-12)
   }
   test("cross-correlation is scale-invariant (same type mix, more rows)") {
     val g1 = grid("1|a", "2|b")
     val g2 = grid("1|a", "2|b", "3|c", "4|d")
-    val h1 = RegionSimilarity.histogram(g1, Rect(0, 0, 1, 1))
-    val h2 = RegionSimilarity.histogram(g2, Rect(0, 0, 1, 3))
+    val h1 = histogram(g1, Rect(0, 0, 1, 1))
+    val h2 = histogram(g2, Rect(0, 0, 1, 3))
     assert(RegionSimilarity.crossCorrelation(h1, h2) > 0.999)
   }
   test("different type mixes score lower than equal mixes") {
-    val ints    = RegionSimilarity.histogram(grid("1|2", "3|4"), Rect(0, 0, 1, 1))
-    val ints2   = RegionSimilarity.histogram(grid("7|8", "9|10"), Rect(0, 0, 1, 1))
-    val strings = RegionSimilarity.histogram(grid("a|b", "c|d"), Rect(0, 0, 1, 1))
+    val ints    = histogram(grid("1|2", "3|4"), Rect(0, 0, 1, 1))
+    val ints2   = histogram(grid("7|8", "9|10"), Rect(0, 0, 1, 1))
+    val strings = histogram(grid("a|b", "c|d"), Rect(0, 0, 1, 1))
     assert(RegionSimilarity.crossCorrelation(ints, ints2) >
            RegionSimilarity.crossCorrelation(ints, strings))
   }
   test("sub-types of one fundamental stay closer than different fundamentals") {
-    val lower = RegionSimilarity.histogram(grid("a|b", "c|d"), Rect(0, 0, 1, 1))
-    val title = RegionSimilarity.histogram(grid("Aa|Bb", "Cc|Dd"), Rect(0, 0, 1, 1))
-    val ints  = RegionSimilarity.histogram(grid("1|2", "3|4"), Rect(0, 0, 1, 1))
+    val lower = histogram(grid("a|b", "c|d"), Rect(0, 0, 1, 1))
+    val title = histogram(grid("Aa|Bb", "Cc|Dd"), Rect(0, 0, 1, 1))
+    val ints  = histogram(grid("1|2", "3|4"), Rect(0, 0, 1, 1))
     assert(RegionSimilarity.crossCorrelation(lower, title) >
            RegionSimilarity.crossCorrelation(lower, ints))
   }
   test("similarity is clamped to [0, 1]") {
-    val a = RegionSimilarity.histogram(grid("1|1", "1|1"), Rect(0, 0, 1, 1))
-    val b = RegionSimilarity.histogram(grid("a|a", "a|a"), Rect(0, 0, 1, 1))
+    val a = histogram(grid("1|1", "1|1"), Rect(0, 0, 1, 1))
+    val b = histogram(grid("a|a", "a|a"), Rect(0, 0, 1, 1))
     val s = RegionSimilarity.crossCorrelation(a, b)
     assert(s >= 0.0 && s <= 1.0)
   }
@@ -88,5 +94,61 @@ class RegionSimilaritySpec extends AnyFunSuite {
     val r1 = RegionSimilarity.fromBox(g1, Rect(0, 0, 1, 3))
     val r2 = RegionSimilarity.fromBox(g2, Rect(0, 0, 1, 3))
     assert(RegionSimilarity.similarity(r1, r2) > 0.99)
+  }
+
+  // --- the closed form in the 9 type counts against the 192-bin NCC
+
+  private def holds(prop: Prop): Unit = {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(1000).withInitialSeed(Seed(20214L))
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
+
+  private val Types = Cells.all.size
+  private def region(counts: Array[Int]): Region = Region("f", Rect(0, 0, 0, 0), Vector.empty, counts, 0)
+  private def unit(t: Int): Array[Int] = Array.tabulate(Types)(s => if (s == t) 1 else 0)
+
+  /** All-zero and single-type regions, and mixes of small counts and
+    * counts up to 10⁶ cells.
+    */
+  private val genCounts: Gen[Array[Int]] = Gen.frequency(
+    1 -> Gen.const(new Array[Int](Types)),
+    2 -> (for (t <- Gen.choose(0, Types - 1); n <- Gen.oneOf(Gen.choose(1, 5), Gen.choose(1, 1000000)))
+      yield Array.tabulate(Types)(s => if (s == t) n else 0)),
+    6 -> Gen.listOfN(Types, Gen.frequency(3 -> Gen.const(0), 4 -> Gen.choose(1, 10), 1 -> Gen.choose(0, 1000000)))
+      .map(_.toArray))
+
+  test("G is the bin overlap of the Table 1 colors: 3 on the diagonal, 1 within a fundamental type") {
+    val colors = Cells.all.map { t => val (r, g, b) = t.rgb; Seq(r / 4, g / 4, b / 4) }
+    for (t <- 0 until Types; s <- 0 until Types) {
+      val shared = colors(t).zip(colors(s)).count { case (x, y) => x == y }
+      val dot = histogram(unit(t)).zip(histogram(unit(s))).map { case (x, y) => x * y }.sum
+      val block = if (t == s) 3 else if (Cells.all(t).fundamental == Cells.all(s).fundamental) 1 else 0
+      assert(RegionSimilarity.overlap(t)(s) == shared && shared == dot && shared == block, s"G($t, $s)")
+    }
+  }
+
+  test("property: the closed form equals the 192-bin NCC within 1e-12, symmetric and equal in the index") {
+    holds(Prop.forAllNoShrink(genCounts, genCounts) { (ca, cb) =>
+      val a = region(ca); val b = region(cb)
+      val got = RegionSimilarity.similarity(a, b)
+      val want = RegionSimilarity.crossCorrelation(histogram(ca), histogram(cb))
+      val bits = java.lang.Double.doubleToRawLongBits _
+      val idx = new RegionSimilarity.Index(Array(a, b))
+      (math.abs(got - want) <= 1e-12) :| s"closed form $got vs 192-bin $want" &&
+        (bits(got) == bits(RegionSimilarity.similarity(b, a))) :| "not symmetric" &&
+        (bits(got) == bits(idx.similarity(0, 1)) && bits(got) == bits(idx.similarity(1, 0))) :| "index differs"
+    })
+  }
+
+  test("regions without cells: 1 against each other, 0 against any other region") {
+    val empty = region(new Array[Int](Types))
+    assert(RegionSimilarity.similarity(empty, empty) == 1.0)
+    for (t <- 0 until Types) {
+      assert(RegionSimilarity.similarity(empty, region(unit(t))) == 0.0)
+      assert(RegionSimilarity.similarity(region(unit(t)), empty) == 0.0)
+      assert(RegionSimilarity.similarity(region(unit(t)), region(unit(t))) == 1.0)
+    }
   }
 }

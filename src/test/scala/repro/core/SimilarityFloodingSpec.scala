@@ -147,20 +147,20 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
   }
 
-  /** Fingerprints near three base histograms, so that region pairs range
-    * from unrelated to identical; a constant one has zero variance.
+  /** Fingerprints near three base type-count vectors, so that region pairs
+    * range from unrelated to identical; an all-zero one has zero variance.
     */
-  private val baseHistograms: Vector[Array[Double]] = {
+  private val baseCounts: Vector[Array[Int]] = {
     val rnd = new scala.util.Random(3)
-    Vector.fill(3)(Array.fill(RegionSimilarity.HistogramBins)(rnd.nextInt(4).toDouble))
+    Vector.fill(3)(Array.fill(Cells.all.size)(rnd.nextInt(4)))
   }
-  private val genHistogram: Gen[Array[Double]] = Gen.frequency(
-    1 -> Gen.const(Array.fill(RegionSimilarity.HistogramBins)(2.0)),
+  private val genCounts: Gen[Array[Int]] = Gen.frequency(
+    1 -> Gen.const(new Array[Int](Cells.all.size)),
     6 -> (for {
-      base <- Gen.oneOf(baseHistograms)
-      bin  <- Gen.choose(0, RegionSimilarity.HistogramBins - 1)
+      base <- Gen.oneOf(baseCounts)
+      t    <- Gen.choose(0, Cells.all.size - 1)
       bump <- Gen.choose(0, 3)
-    } yield { val h = base.clone(); h(bin) += bump; h }))
+    } yield { val c = base.clone(); c(t) += bump; c }))
 
   private val genBox: Gen[Rect] = for {
     x <- Gen.choose(0, 6); y <- Gen.choose(0, 8); w <- Gen.choose(1, 3); h <- Gen.choose(1, 3)
@@ -168,7 +168,7 @@ class SimilarityFloodingSpec extends AnyFunSuite {
 
   private def genRegions(id: String): Gen[Vector[Region]] = for {
     n  <- Gen.choose(1, 6)
-    rs <- Gen.listOfN(n, for (b <- genBox; h <- genHistogram) yield Region(id, b, Vector(b), h, b.area.toInt))
+    rs <- Gen.listOfN(n, for (b <- genBox; c <- genCounts) yield Region(id, b, Vector(b), c, b.area.toInt))
   } yield rs.toVector
 
   /** Missing edges and few feature values, so that Φ ties often. */
@@ -192,15 +192,15 @@ class SimilarityFloodingSpec extends AnyFunSuite {
         .map(ds => LayoutGraph(id, rs, (i, j) => Some(SpatialRel(ds(i * n + j), 0L, 0.0)))))
   }
 
-  /** A layout of the same template: one fingerprint bumped, maybe a region dropped. */
+  /** A layout of the same template: one type count bumped, maybe a region dropped. */
   private def genVariant(a: LayoutGraph): Gen[LayoutGraph] = for {
     k    <- Gen.choose(0, a.size - 1)
-    bin  <- Gen.choose(0, RegionSimilarity.HistogramBins - 1)
+    t    <- Gen.choose(0, Cells.all.size - 1)
     drop <- Gen.oneOf(a.size > 1, false)
   } yield {
     val r = a.regions(k)
-    val h = r.histogram.clone(); h(bin) += 1
-    val rs = a.regions.updated(k, r.copy(fileId = "b", histogram = h))
+    val c = r.counts.clone(); c(t) += 1
+    val rs = a.regions.updated(k, r.copy(fileId = "b", counts = c))
     LayoutGraph("b", if (drop) rs.init else rs, a.edge)
   }
 

@@ -1,6 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
+import repro.core.Geometry.Rect
 import repro.corpus.{Corpora, SpreadsheetGen}
 import repro.eval.{Metrics, Strategies}
 
@@ -33,6 +37,49 @@ class TemplateInferenceSpec extends SparkSpec {
     val cands = TemplateInference.candidatePairs(spark, layouts.flatMap(_.regions), 0.75)
     assert(cands.distinct.size == cands.size)
     assert(cands.forall { case (a, b) => a < b })
+  }
+
+  /** Small corpora of 1–6 files with 0–3 regions each; fingerprints drawn
+    * near a few base count vectors (so files match and miss), with exact
+    * duplicates, all-zero and single-type counts.
+    */
+  private val genCorpus: Gen[Vector[LayoutGraph]] = {
+    val types = Cells.all.size
+    val rnd = new scala.util.Random(5)
+    val bases = Vector.fill(4)(Array.fill(types)(rnd.nextInt(6)))
+    val genCounts: Gen[Array[Int]] = Gen.frequency(
+      1 -> Gen.const(new Array[Int](types)),
+      1 -> Gen.choose(0, types - 1).map(t => Array.tabulate(types)(s => if (s == t) 2 else 0)),
+      3 -> Gen.oneOf(bases),
+      5 -> (for (b <- Gen.oneOf(bases); t <- Gen.choose(0, types - 1); d <- Gen.choose(1, 4))
+        yield { val c = b.clone(); c(t) += d; c }))
+    for {
+      n     <- Gen.choose(1, 6)
+      sizes <- Gen.listOfN(n, Gen.frequency(1 -> Gen.const(0), 2 -> Gen.const(1), 2 -> Gen.choose(2, 3)))
+      files <- Gen.sequence[Vector[Vector[Array[Int]]], Vector[Array[Int]]](
+        sizes.map(k => Gen.listOfN(k, genCounts).map(_.toVector)))
+    } yield files.zipWithIndex.map { case (cs, f) =>
+      val id = s"p$f"
+      LayoutGraph.build(id, cs.zipWithIndex.map { case (c, k) =>
+        val box = Rect(0, 2 * k, 1, 2 * k); Region(id, box, Vector(box), c, 2)
+      })
+    }
+  }
+
+  test("property: candidatePairs equals the 192-bin brute-force scan, whatever the region order") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(200).withInitialSeed(Seed(20215L))
+    val prop = Prop.forAllNoShrink(genCorpus, Gen.long) { (layouts, seed) =>
+      val regions = layouts.flatMap(_.regions)
+      val want = ReferenceCandidates.candidatePairs(regions, 0.75).toVector.sorted
+      val got = TemplateInference.candidatePairs(spark, regions, 0.75)
+      val shuffled = TemplateInference.candidatePairs(spark, new scala.util.Random(seed).shuffle(regions), 0.75)
+      val counted = TemplateInference.infer(spark, new scala.util.Random(seed + 1).shuffle(layouts)).candidatePairs
+      (got == want) :| s"got $got, want $want" && (shuffled == got) :| s"shuffled $shuffled" &&
+        (counted == want.size.toLong) :| s"infer counted $counted"
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
   }
 
   test("gold regions + high threshold recover the planned templates well") {

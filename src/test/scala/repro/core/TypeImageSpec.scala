@@ -68,7 +68,7 @@ class TypeImageSpec extends AnyFunSuite {
 
   test("histogram equals the cell-by-cell reference bit for bit") {
     holds(Prop.forAllNoShrink(genGrid, genBox(-3)) { (g, box) =>
-      bits(RegionSimilarity.histogram(g, box)) == bits(ReferenceTyping.histogram(g, box))
+      bits(RegionSimilarity.histogram(RegionSimilarity.counts(g, box))) == bits(ReferenceTyping.histogram(g, box))
     })
   }
 
@@ -78,7 +78,7 @@ class TypeImageSpec extends AnyFunSuite {
     holds(Prop.forAllNoShrink(genGrid, genBox(0)) { (g, box) =>
       val a = RegionSimilarity.fromBox(g, box); val b = ReferenceTyping.fromBox(g, box)
       a.fileId == b.fileId && a.box == b.box && a.elements == b.elements &&
-        bits(a.histogram) == bits(b.histogram) && a.cellCount == b.cellCount
+        a.counts.toSeq == b.counts.toSeq && bits(a.histogram) == bits(b.histogram) && a.cellCount == b.cellCount
     })
   }
 
