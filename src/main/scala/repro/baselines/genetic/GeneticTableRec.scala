@@ -2,7 +2,7 @@ package repro.baselines.genetic
 
 import scala.util.Random
 import org.apache.spark.sql.SparkSession
-import repro.core.{FileGrid, Geometry}
+import repro.core.{FileGrid, Geometry, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.{GoldFile, Role}
 
@@ -106,27 +106,17 @@ object GeneticTableRec {
   /** A vertex: 4-connected group of cells sharing a predicted label. */
   final case class Vertex(box: Rect, label: Int, cells: Int)
 
-  /** Groups same-label 4-connected cells into vertices. */
+  /** Groups same-label 4-connected cells into vertices, in row-major order
+    * of their first cell.
+    */
   def vertices(grid: FileGrid, labels: Map[(Int, Int), Int]): Vector[Vertex] = {
-    val seen = scala.collection.mutable.Set.empty[(Int, Int)]
-    val out = Vector.newBuilder[Vertex]
-    for (((sx, sy), lab) <- labels.toVector.sortBy { case ((x, y), _) => (y, x) } if !seen((sx, sy))) {
-      val stack = scala.collection.mutable.ArrayDeque((sx, sy))
-      val comp = Vector.newBuilder[(Int, Int)]
-      seen += ((sx, sy))
-      while (stack.nonEmpty) {
-        val (cx, cy) = stack.removeLast()
-        comp += ((cx, cy))
-        for ((nx, ny) <- Seq((cx - 1, cy), (cx + 1, cy), (cx, cy - 1), (cx, cy + 1)))
-          if (!seen((nx, ny)) && labels.get((nx, ny)).contains(lab)) {
-            seen += ((nx, ny)); stack.append((nx, ny))
-          }
-      }
-      val cs = comp.result()
-      val xs = cs.map(_._1); val ys = cs.map(_._2)
-      out += Vertex(Rect(xs.min, ys.min, xs.max, ys.max), lab, cs.size)
+    val w = grid.width
+    val label = Array.fill(w * grid.height)(-1)
+    for (((x, y), lab) <- labels) label(y * w + x) = lab
+    UnionFind.grid(w, grid.height, label(_) >= 0, label(_) == label(_)).map { cs =>
+      val xs = cs.map(_ % w); val ys = cs.map(_ / w)
+      Vertex(Rect(xs.min, ys.min, xs.max, ys.max), label(cs.head), cs.size)
     }
-    out.result()
   }
 
   /** Candidate edges connect vertices whose boxes are within distance 2. */
@@ -182,12 +172,9 @@ object GeneticTableRec {
     val rnd = new Random(runSeed)
 
     def groupsOf(genome: Array[Boolean]): Vector[Vector[Int]] = {
-      val parent = Array.tabulate(vs.length)(identity)
-      def find(a: Int): Int = { var r = a; while (parent(r) != r) r = parent(r); parent(a) = r; r }
-      for (((i, j), k) <- edges.zipWithIndex if genome(k)) {
-        val (ri, rj) = (find(i), find(j)); if (ri != rj) parent(ri) = rj
-      }
-      vs.indices.groupBy(find).values.map(_.toVector).toVector
+      val sets = new UnionFind(vs.length)
+      for (((i, j), k) <- edges.zipWithIndex if genome(k)) sets.union(i, j)
+      vs.indices.groupBy(sets.find).values.map(_.toVector).toVector
     }
     def eval(genome: Array[Boolean]): Double = fitness(grid, vs, groupsOf(genome))
 

@@ -2,7 +2,7 @@ package repro.baselines.tablesense
 
 import scala.util.Random
 import org.apache.spark.sql.SparkSession
-import repro.core.{Cells, FileGrid, Geometry}
+import repro.core.{Cells, FileGrid, Geometry, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.GoldFile
 import repro.eval.Metrics
@@ -68,35 +68,17 @@ object TableSenseSim {
     */
   def proposals(grid: FileGrid): Vector[Rect] = {
     val w = grid.width; val h = grid.height
-    if (w == 0 || h == 0) return Vector.empty
     val img = grid.image
-    def components(filled: Array[Array[Boolean]]): Vector[Rect] = {
-      val seen = Array.fill(h, w)(false)
-      val out = Vector.newBuilder[Rect]
-      for (y <- 0 until h; x <- 0 until w if filled(y)(x) && !seen(y)(x)) {
-        // track the bbox of the component's *non-empty* cells only, so the
-        // proposal is shrunk back from the dilation margin
-        var minX = Int.MaxValue; var maxX = -1; var minY = Int.MaxValue; var maxY = -1
-        val st = scala.collection.mutable.ArrayDeque((x, y)); seen(y)(x) = true
-        while (st.nonEmpty) {
-          val (cx, cy) = st.removeLast()
-          if (!img.isEmpty(cx, cy)) {
-            minX = math.min(minX, cx); maxX = math.max(maxX, cx)
-            minY = math.min(minY, cy); maxY = math.max(maxY, cy)
-          }
-          for ((nx, ny) <- Seq((cx - 1, cy), (cx + 1, cy), (cx, cy - 1), (cx, cy + 1)))
-            if (nx >= 0 && nx < w && ny >= 0 && ny < h && filled(ny)(nx) && !seen(ny)(nx)) {
-              seen(ny)(nx) = true; st.append((nx, ny))
-            }
-        }
-        if (maxX >= 0) out += Rect(minX, minY, maxX, maxY)
+    // a cell is filled iff its (2r+1)² window holds a non-empty cell, so
+    // every filled component holds the non-empty cells that filled it; its
+    // proposal is their bounding box, shrunk back from the dilation margin
+    def components(r: Int): Vector[Rect] =
+      UnionFind.grid(w, h, c => img.nonEmpty(Rect(c % w - r, c / w - r, c % w + r, c / w + r)) > 0).map { cs =>
+        val cells = cs.filter(c => !img.isEmpty(c % w, c / w))
+        val xs = cells.map(_ % w); val ys = cells.map(_ / w)
+        Rect(xs.min, ys.min, xs.max, ys.max)
       }
-      out.result()
-    }
-    // a cell is filled iff its (2r+1)² window holds a non-empty cell
-    def dilate(r: Int): Array[Array[Boolean]] =
-      Array.tabulate(h, w)((y, x) => img.nonEmpty(Rect(x - r, y - r, x + r, y + r)) > 0)
-    (1 to 2).flatMap(r => components(dilate(r))).distinct.toVector
+    (1 to 2).flatMap(components).distinct.toVector
   }
 
   /** Trained scorer weights. */

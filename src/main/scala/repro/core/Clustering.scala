@@ -10,15 +10,17 @@ import repro.core.Geometry.Rect
   *
   *   d(a,b) = α · closestCellDistance + β · sizeDifference + γ · misalignment
   *
-  * (terms from [[Geometry]]). With m = 1 every point is a core point and
-  * DBSCAN degenerates to connected components of the ε-neighborhood graph;
-  * we implement the general algorithm and unit-test that equivalence.
+  * (terms from [[Geometry]]). With m = 1 every point is a core point, so a
+  * DBSCAN cluster is exactly a connected component of the ε-neighborhood
+  * graph (Ester et al., KDD 1996); we compute those components with a
+  * [[UnionFind]]. The test-only `ReferenceTyping.dbscan` keeps the DBSCAN
+  * formulation, and the tests check that both agree.
   */
 object Clustering {
 
   /** Clustering hyperparameters (paper §5.2: α=1; β, γ per dataset). */
   final case class Params(alpha: Double = 1.0, beta: Double = 0.5, gamma: Double = 1.0,
-                          eps: Double = 1.5, minPts: Int = 1)
+                          eps: Double = 1.5)
 
   /** The weighted element distance of §4.2. */
   def elementDistance(a: Rect, b: Rect, p: Params): Double =
@@ -26,47 +28,27 @@ object Clustering {
       p.beta * Geometry.sizeDifference(a, b) +
       p.gamma * Geometry.misalignment(a, b)
 
-  /** DBSCAN over elements; returns the cluster id of each input element.
-    *
-    * All elements end up in some cluster: with minPts = 1 no noise exists;
-    * for minPts > 1 leftover border/noise points are each assigned a
-    * singleton cluster (the paper labels every element, §4.2).
+  /** The regions of `elems` at each radius of `radii`: the components of
+    * the graph joining elements at distance ≤ ε, in DBSCAN's order —
+    * clusters by first element, members in input order. The distances do
+    * not depend on ε, so they are computed once (the upper triangle).
     */
-  def dbscan(elems: IndexedSeq[Rect], p: Params): Array[Int] = {
+  def clusterings(elems: IndexedSeq[Rect], p: Params, radii: Seq[Double]): Vector[Vector[Vector[Rect]]] = {
     val n = elems.length
-    val labels = Array.fill(n)(-1) // -1 = unvisited
-    if (n == 0) return labels
-    // Precompute the symmetric distance matrix once; n is per-file small.
-    val dist = Array.tabulate(n, n)((i, j) => if (i == j) 0.0 else elementDistance(elems(i), elems(j), p))
-    def neighbors(i: Int): IndexedSeq[Int] = (0 until n).filter(j => dist(i)(j) <= p.eps)
-    var cluster = -1
-    val queue = new scala.collection.mutable.ArrayDeque[Int]()
-    for (i <- 0 until n if labels(i) < 0) {
-      val ni = neighbors(i)
-      if (ni.length >= p.minPts) {
-        cluster += 1
-        labels(i) = cluster
-        queue.clear(); queue ++= ni.filter(_ != i)
-        while (queue.nonEmpty) {
-          val q = queue.removeHead()
-          if (labels(q) < 0) {
-            labels(q) = cluster
-            val nq = neighbors(q)
-            if (nq.length >= p.minPts) queue ++= nq.filter(labels(_) < 0)
-          }
-        }
-      }
-    }
-    // No noise: leftover points become singleton clusters.
-    for (i <- 0 until n if labels(i) < 0) { cluster += 1; labels(i) = cluster }
-    labels
+    val dist = new Array[Double](n * (n - 1) / 2)
+    var k = 0
+    for (i <- 0 until n; j <- i + 1 until n) { dist(k) = elementDistance(elems(i), elems(j), p); k += 1 }
+    radii.iterator.map { eps =>
+      val sets = new UnionFind(n)
+      var k = 0
+      for (i <- 0 until n; j <- i + 1 until n) { if (dist(k) <= eps) sets.union(i, j); k += 1 }
+      sets.sets(0 until n).map(_.map(elems))
+    }.toVector
   }
 
-  /** Groups elements into regions: each cluster's member rectangles. */
-  def clusterElements(elems: IndexedSeq[Rect], p: Params): Vector[Vector[Rect]] = {
-    val labels = dbscan(elems, p)
-    elems.indices.groupBy(labels).toVector.sortBy(_._1).map { case (_, idx) =>
-      idx.map(elems).toVector
-    }
-  }
+  /** Groups elements into regions at radius `p.eps`: each cluster's member
+    * rectangles.
+    */
+  def clusterElements(elems: IndexedSeq[Rect], p: Params): Vector[Vector[Rect]] =
+    clusterings(elems, p, Seq(p.eps)).head
 }

@@ -4,7 +4,7 @@ import repro.core.Geometry.Rect
 
 /** End-to-end per-file region detection (paper §4.1 + §4.2): image parsing,
   * connected components, rectilinear partitioning into elements, and
-  * DBSCAN clustering of elements into regions.
+  * clustering of elements into regions.
   */
 object Mondrian {
 
@@ -28,22 +28,20 @@ object Mondrian {
     else Clustering.clusterElements(elems, params).map(RegionSimilarity.fromElements(grid, _))
   }
 
-  /** Dynamic-radius detection (§5.2): runs the clustering for every radius
-    * in the grid and keeps the radius whose regions maximize the given
-    * score (the paper selects the optimal radius per file against the gold
-    * standard; callers pass e.g. mean IoU vs. gold boxes).
+  /** Dynamic-radius detection (§5.2): clusters at every radius of
+    * [[RadiusGrid]] and keeps the first radius whose regions maximize the
+    * given score (the paper selects the optimal radius per file against the
+    * gold standard; callers pass e.g. mean IoU vs. gold boxes).
     */
   def detectRegionsDynamic(grid: FileGrid, base: Clustering.Params,
-                           score: Vector[Region] => Double,
-                           radii: Vector[Double] = RadiusGrid): (Double, Vector[Region]) = {
+                           score: Vector[Region] => Double): (Double, Vector[Region]) = {
     val elems = Segmentation.elements(grid)
-    if (elems.isEmpty) return (radii.head, Vector.empty)
-    var bestEps = radii.head
+    if (elems.isEmpty) return (RadiusGrid.head, Vector.empty)
+    var bestEps = RadiusGrid.head
     var bestScore = Double.NegativeInfinity
     var bestRegions: Vector[Region] = Vector.empty
-    for (eps <- radii) {
-      val regions = Clustering.clusterElements(elems, base.copy(eps = eps))
-        .map(RegionSimilarity.fromElements(grid, _))
+    for ((eps, clusters) <- RadiusGrid.zip(Clustering.clusterings(elems, base, RadiusGrid))) {
+      val regions = clusters.map(RegionSimilarity.fromElements(grid, _))
       val s = score(regions)
       if (s > bestScore) { bestScore = s; bestEps = eps; bestRegions = regions }
     }

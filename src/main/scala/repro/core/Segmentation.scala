@@ -26,34 +26,15 @@ object Segmentation {
     }
   }
 
-  /** 4-connected components over the non-empty cells of a grid. */
+  /** 4-connected components over the non-empty cells of a grid, in
+    * row-major order of their first cell, each with its cells in row-major
+    * order.
+    */
   def connectedComponents(grid: FileGrid): Vector[Component] = {
-    val w = grid.width; val h = grid.height
-    if (w == 0 || h == 0) return Vector.empty
-    val img      = grid.image
-    val label    = Array.fill(h, w)(-1)
-    var next     = 0
-    val out      = Vector.newBuilder[Component]
-    val stack    = new scala.collection.mutable.ArrayDeque[(Int, Int)]()
-    for (y <- 0 until h; x <- 0 until w if !img.isEmpty(x, y) && label(y)(x) < 0) {
-      val cells = Vector.newBuilder[(Int, Int)]
-      stack.append((x, y)); label(y)(x) = next
-      while (stack.nonEmpty) {
-        val (cx, cy) = stack.removeLast()
-        cells += ((cx, cy))
-        var i = 0
-        val nb = Array((cx - 1, cy), (cx + 1, cy), (cx, cy - 1), (cx, cy + 1))
-        while (i < 4) {
-          val (nx, ny) = nb(i)
-          if (nx >= 0 && nx < w && ny >= 0 && ny < h && !img.isEmpty(nx, ny) && label(ny)(nx) < 0) {
-            label(ny)(nx) = next; stack.append((nx, ny))
-          }
-          i += 1
-        }
-      }
-      out += Component(cells.result()); next += 1
-    }
-    out.result()
+    val w = grid.width
+    val img = grid.image
+    UnionFind.grid(w, grid.height, c => !img.isEmpty(c % w, c / w))
+      .map(cs => Component(cs.map(c => (c % w, c / w))))
   }
 
   /** Rectilinear partition of one component into rectangles (elements). */

@@ -141,23 +141,17 @@ object TemplateInference {
     }.collect().toVector
   }
 
-  /** Groups files into templates given precomputed edges and a threshold. */
+  /** Groups files into templates given precomputed edges and a threshold:
+    * the connected components of the file graph, numbered in the order of
+    * their first file.
+    */
   def templatesFromEdges(files: Vector[String], edges: Vector[(String, String, Double)],
                          tauLayout: Double): Map[String, Int] = {
-    val parent = scala.collection.mutable.Map(files.map(f => f -> f): _*)
-    def find(x: String): String = {
-      var r = x
-      while (parent(r) != r) r = parent(r)
-      var c = x
-      while (parent(c) != r) { val nxt = parent(c); parent(c) = r; c = nxt }
-      r
-    }
-    for ((a, b, s) <- edges if s >= tauLayout) {
-      val ra = find(a); val rb = find(b)
-      if (ra != rb) parent(ra) = rb
-    }
-    val roots = files.map(find).distinct.zipWithIndex.toMap
-    files.map(f => f -> roots(find(f))).toMap
+    val ids = files.distinct
+    val index = ids.zipWithIndex.toMap
+    val sets = new UnionFind(ids.size)
+    for ((a, b, s) <- edges if s >= tauLayout) sets.union(index(a), index(b))
+    (for ((set, t) <- sets.sets(ids.indices).zipWithIndex; i <- set) yield ids(i) -> t).toMap
   }
 
   /** Sequential Algorithm 1 exactly as printed in the paper, for fidelity

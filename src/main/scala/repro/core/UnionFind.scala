@@ -1,0 +1,68 @@
+package repro.core
+
+import scala.collection.immutable.VectorBuilder
+import scala.collection.mutable.ArrayBuffer
+
+/** Disjoint sets over 0 until n with path compression (Tarjan, JACM 1975):
+  * the connected components of segmentation (§4.1), of the ε-graph of
+  * elements (§4.2), of the file graph (Algorithm 1) and of the baselines.
+  */
+final class UnionFind(n: Int) {
+  private val parent = Array.range(0, n)
+
+  /** The root of i's set; compresses the path from i. */
+  def find(i: Int): Int = {
+    var r = i
+    while (parent(r) != r) r = parent(r)
+    var c = i
+    while (parent(c) != r) { val next = parent(c); parent(c) = r; c = next }
+    r
+  }
+
+  /** Merges the sets of i and j, linking root(i) under root(j). */
+  def union(i: Int, j: Int): Unit = {
+    val ri = find(i); val rj = find(j)
+    if (ri != rj) parent(ri) = rj
+  }
+
+  /** The sets of `members` only, each in the order given and the sets in
+    * the order of their first member: for increasing members, the sets are
+    * ordered by smallest member with members increasing.
+    */
+  def sets(members: IterableOnce[Int]): Vector[Vector[Int]] = {
+    val slot = new Array[Int](n) // 1 + the index in `out` of each root's set
+    val out = ArrayBuffer.empty[VectorBuilder[Int]]
+    for (m <- members.iterator) {
+      val r = find(m)
+      if (slot(r) == 0) { out += new VectorBuilder[Int]; slot(r) = out.length }
+      out(slot(r) - 1) += m
+    }
+    out.iterator.map(_.result()).toVector
+  }
+}
+
+object UnionFind {
+
+  /** 4-connected components of the cells c = y·w + x of a w × h grid for
+    * which `member(c)` holds; two member neighbours a < b join when
+    * `joins(a, b)` holds too. Components come in row-major order of their
+    * first cell, each with its cells in row-major order. Only member cells
+    * are collected, so sparse grids stay cheap.
+    */
+  def grid(w: Int, h: Int, member: Int => Boolean,
+           joins: (Int, Int) => Boolean = (_, _) => true): Vector[Vector[Int]] = {
+    val in = new Array[Boolean](w * h)
+    val sets = new UnionFind(w * h)
+    val members = Array.newBuilder[Int]
+    var c = 0
+    while (c < w * h) {
+      if (member(c)) {
+        in(c) = true; members += c
+        if (c % w > 0 && in(c - 1) && joins(c - 1, c)) sets.union(c, c - 1)
+        if (c >= w && in(c - w) && joins(c - w, c)) sets.union(c, c - w)
+      }
+      c += 1
+    }
+    sets.sets(members.result())
+  }
+}

@@ -1,15 +1,19 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Geometry.Rect
 
-/** Modified DBSCAN region clustering (paper §4.2). */
+/** Modified DBSCAN region clustering (paper §4.2): ε-graph components,
+  * checked against [[ReferenceTyping.dbscan]].
+  */
 class ClusteringSpec extends AnyFunSuite {
 
   private val P = Clustering.Params(alpha = 1, beta = 0.5, gamma = 1, eps = 1.5)
 
   test("empty input yields no clusters") {
-    assert(Clustering.dbscan(Vector.empty, P).isEmpty)
     assert(Clustering.clusterElements(Vector.empty, P).isEmpty)
   }
   test("single element forms a singleton region (m = 1)") {
@@ -30,9 +34,7 @@ class ClusteringSpec extends AnyFunSuite {
   }
   test("no element is ever labeled noise") {
     val es = Vector(Rect(0, 0, 0, 0), Rect(50, 50, 50, 50), Rect(90, 0, 90, 0))
-    val labels = Clustering.dbscan(es, P)
-    assert(labels.forall(_ >= 0))
-    assert(labels.distinct.length == 3)
+    assert(Clustering.clusterElements(es, P) == es.map(Vector(_)))
   }
   test("minPts=1 degenerates to eps-graph connected components") {
     val rnd = new scala.util.Random(11)
@@ -40,7 +42,6 @@ class ClusteringSpec extends AnyFunSuite {
       val x = rnd.nextInt(20); val y = rnd.nextInt(20)
       Rect(x, y, x + rnd.nextInt(3), y + rnd.nextInt(3))
     }
-    val labels = Clustering.dbscan(es, P)
     // reference: union-find over pairs within eps
     val parent = Array.tabulate(es.size)(identity)
     def find(i: Int): Int = { var r = i; while (parent(r) != r) r = parent(r); r }
@@ -48,8 +49,8 @@ class ClusteringSpec extends AnyFunSuite {
       if (Clustering.elementDistance(es(i), es(j), P) <= P.eps) {
         val (ri, rj) = (find(i), find(j)); if (ri != rj) parent(ri) = rj
       }
-    val expected = es.indices.groupBy(find).values.map(_.toSet).toSet
-    val got = es.indices.groupBy(labels(_)).values.map(_.toSet).toSet
+    val expected = es.indices.groupBy(find).values.map(_.map(es).toSet).toSet
+    val got = Clustering.clusterElements(es, P).map(_.toSet).toSet
     assert(got == expected)
   }
   test("transitive chains merge into one region") {
@@ -77,9 +78,43 @@ class ClusteringSpec extends AnyFunSuite {
     val clusters = Clustering.clusterElements(es, P)
     assert(clusters.flatten.sortBy(r => (r.y0, r.x0)) == es.sortBy(r => (r.y0, r.x0)))
   }
-  test("minPts > 1 assigns sparse points singleton clusters instead of noise") {
-    val es = Vector(Rect(0, 0, 0, 0), Rect(30, 30, 30, 30))
-    val labels = Clustering.dbscan(es, P.copy(minPts = 3))
-    assert(labels.forall(_ >= 0) && labels(0) != labels(1))
+
+  /** Rectangles in a 30 × 30 area; duplicates, touching and nested pairs
+    * are added on purpose, as they put distances exactly on a radius.
+    */
+  private val genRect: Gen[Rect] = for {
+    x0 <- Gen.choose(0, 30); y0 <- Gen.choose(0, 30)
+    w  <- Gen.choose(1, 6);  h  <- Gen.choose(1, 6)
+  } yield Rect(x0, y0, x0 + w - 1, y0 + h - 1)
+
+  private def genRelated(r: Rect): Gen[Rect] = Gen.oneOf(
+    Gen.const(r),                                           // duplicate
+    Gen.const(Rect(r.x1 + 1, r.y0, r.x1 + r.width, r.y1)),  // touching, side by side
+    Gen.const(Rect(r.x0, r.y1 + 1, r.x1, r.y1 + 2)),        // touching, below
+    Gen.const(Rect(r.x0, r.y0, r.x0, r.y0)))                // nested
+
+  private val genElems: Gen[Vector[Rect]] = for {
+    n       <- Gen.frequency(1 -> Gen.const(0), 1 -> Gen.const(1), 8 -> Gen.choose(2, 40))
+    base    <- Gen.listOfN(n, genRect)
+    related <- Gen.sequence[List[Rect], Rect](base.take(n / 3).map(genRelated))
+    seed    <- Gen.long
+  } yield new scala.util.Random(seed).shuffle((base ++ related).toVector)
+
+  private val genParams: Gen[Clustering.Params] = for {
+    a <- Gen.oneOf(0.0, 0.5, 1.0, 2.0); b <- Gen.oneOf(0.0, 0.5, 1.0, 3.0)
+    g <- Gen.oneOf(0.0, 1.0, 2.5);      e <- Gen.oneOf(0.1, 1.0, 1.4, 1.5, 4.0)
+  } yield Clustering.Params(a, b, g, e)
+
+  test("clusterings over the radius grid equal DBSCAN's clusters at every radius, in order") {
+    val prop = Prop.forAll(genElems, genParams) { (es, p) =>
+      val got = Clustering.clusterings(es, p, Mondrian.RadiusGrid)
+      val want = Mondrian.RadiusGrid.map(eps => ReferenceTyping.clusterElements(es, p.copy(eps = eps)))
+      (got == want) :| s"radius ${Mondrian.RadiusGrid.indices.find(k => got(k) != want(k)).map(Mondrian.RadiusGrid)}" &&
+        (Clustering.clusterElements(es, p) == ReferenceTyping.clusterElements(es, p)) :| "clusterElements"
+    }
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(300).withInitialSeed(Seed(4211L))
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
   }
 }

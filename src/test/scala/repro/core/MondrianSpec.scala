@@ -100,7 +100,7 @@ class MondrianSpec extends AnyFunSuite {
   }
 
   test("deco/fuste parameter presets match the paper") {
-    assert(Mondrian.DecoParams == Clustering.Params(1.0, 0.5, 1.0, 1.5, 1))
-    assert(Mondrian.FusteParams == Clustering.Params(1.0, 1.0, 1.0, 1.4, 1))
+    assert(Mondrian.DecoParams == Clustering.Params(1.0, 0.5, 1.0, 1.5))
+    assert(Mondrian.FusteParams == Clustering.Params(1.0, 1.0, 1.0, 1.4))
   }
 }

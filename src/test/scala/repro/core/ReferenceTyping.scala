@@ -5,7 +5,9 @@ import repro.core.Geometry.Rect
 /** Reference cell-by-cell versions of the stages that read the type image,
   * for the tests: each re-types the raw strings of every cell it visits,
   * as the code did before [[TypeImage]]. The image-backed functions must
-  * return the same values, histograms bit for bit.
+  * return the same values, histograms bit for bit. Detection here clusters
+  * with DBSCAN ([[dbscan]]), the reference for [[Clustering]]'s ε-graph
+  * components.
   */
 object ReferenceTyping {
 
@@ -63,10 +65,10 @@ object ReferenceTyping {
     if (gold.isEmpty) 0.0
     else gold.map(t => if (regions.isEmpty) 0.0 else regions.map(r => iou(grid, r.box, t)).max).sum / gold.size
 
-  /** Segmentation elements from 4-connected components of the non-empty
-    * cells, each found by a flood fill over re-typed cells.
+  /** 4-connected components of the non-empty cells, each found by a flood
+    * fill over re-typed cells; cells in the fill's visiting order.
     */
-  def elements(grid: FileGrid): Vector[Rect] = {
+  def components(grid: FileGrid): Vector[Segmentation.Component] = {
     val w = grid.width; val h = grid.height
     val label = Array.fill(h, w)(false)
     val out = Vector.newBuilder[Segmentation.Component]
@@ -83,14 +85,58 @@ object ReferenceTyping {
       }
       out += Segmentation.Component(cells.result())
     }
-    out.result().flatMap(Segmentation.partition)
+    out.result()
+  }
+
+  /** Segmentation elements of the flood-filled components. */
+  def elements(grid: FileGrid): Vector[Rect] = components(grid).flatMap(Segmentation.partition)
+
+  /** DBSCAN over elements with minPts = 1 and no noise (paper §4.2): the
+    * cluster id of each input element, clusters numbered in the order the
+    * scan opens them.
+    */
+  def dbscan(elems: IndexedSeq[Rect], p: Clustering.Params): Array[Int] = {
+    val minPts = 1
+    val n = elems.length
+    val labels = Array.fill(n)(-1) // -1 = unvisited
+    if (n == 0) return labels
+    val dist = Array.tabulate(n, n)((i, j) => if (i == j) 0.0 else Clustering.elementDistance(elems(i), elems(j), p))
+    def neighbors(i: Int): IndexedSeq[Int] = (0 until n).filter(j => dist(i)(j) <= p.eps)
+    var cluster = -1
+    val queue = new scala.collection.mutable.ArrayDeque[Int]()
+    for (i <- 0 until n if labels(i) < 0) {
+      val ni = neighbors(i)
+      if (ni.length >= minPts) {
+        cluster += 1
+        labels(i) = cluster
+        queue.clear(); queue ++= ni.filter(_ != i)
+        while (queue.nonEmpty) {
+          val q = queue.removeHead()
+          if (labels(q) < 0) {
+            labels(q) = cluster
+            val nq = neighbors(q)
+            if (nq.length >= minPts) queue ++= nq.filter(labels(_) < 0)
+          }
+        }
+      }
+    }
+    for (i <- 0 until n if labels(i) < 0) { cluster += 1; labels(i) = cluster }
+    labels
+  }
+
+  /** [[dbscan]]'s clusters: member rectangles in input order, clusters in
+    * label order.
+    */
+  def clusterElements(elems: IndexedSeq[Rect], p: Clustering.Params): Vector[Vector[Rect]] = {
+    val labels = dbscan(elems, p)
+    elems.indices.groupBy(labels).toVector.sortBy(_._1).map { case (_, idx) => idx.map(elems).toVector }
   }
 
   /** Static Radius detection (`Mondrian.detectRegions`) on re-typed cells. */
   def detectRegions(grid: FileGrid, p: Clustering.Params): Vector[Region] = {
     val elems = elements(grid)
     if (elems.isEmpty) Vector.empty
-    else Clustering.clusterElements(elems, p).map(fromElements(grid, _))
+    else clusterElements(elems, p).map(fromElements(grid, _))
   }
 
   /** Dynamic Radius detection against gold (`Strategies` "Dynamic Radius")
@@ -101,7 +147,7 @@ object ReferenceTyping {
     var best = Double.NegativeInfinity
     var bestRegions = Vector.empty[Region]
     if (elems.nonEmpty) for (eps <- Mondrian.RadiusGrid) {
-      val regions = Clustering.clusterElements(elems, p.copy(eps = eps)).map(fromElements(grid, _))
+      val regions = clusterElements(elems, p.copy(eps = eps)).map(fromElements(grid, _))
       val s = meanIou(grid, regions, gold)
       if (s > best) { best = s; bestRegions = regions }
     }
