@@ -1,30 +1,19 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.corpus.{Corpora, SpreadsheetGen}
+import repro.corpus.SpreadsheetGen.GoldFile
+import repro.jobs.Datasets
 
 /** Shared state for the table benches: the two full-size corpora (854 and
   * 886 files, matching paper Table 2 by construction) generated once per
-  * JVM, plus small formatting helpers for the paper-vs-measured printouts.
+  * JVM, plus a formatter for the paper-vs-measured printouts.
   */
 object BenchSupport {
 
   lazy val spark: SparkSession = repro.SparkSpec.shared
 
-  /** Full Deco-like corpus (854 files). */
-  lazy val deco: Vector[SpreadsheetGen.GoldFile] = Corpora.deco(spark)
-  /** Full Fuste-like corpus (886 files). */
-  lazy val fuste: Vector[SpreadsheetGen.GoldFile] = Corpora.fuste(spark)
-
-  def corpus(name: String): Vector[SpreadsheetGen.GoldFile] =
-    if (name == "deco") deco else fuste
-
-  /** Gold region-count class of a file (paper Table 3 rows). */
-  def regionClass(f: SpreadsheetGen.GoldFile): String = f.regions.size match {
-    case 1              => "1"
-    case n if n <= 5    => "[2, 5]"
-    case _              => ">= 6"
-  }
+  /** Deco-like and Fuste-like corpora, each with the other. */
+  lazy val datasets: Seq[(String, Vector[GoldFile], Vector[GoldFile])] = Datasets.generate(spark)
 
   /** Prints a markdown-style table row-aligned for the bench logs. */
   def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
@@ -37,18 +26,5 @@ object BenchSupport {
     println(widths.map("-" * _).mkString("|-", "-|-", "-|"))
     rows.foreach(r => println(fmt(r)))
     println()
-  }
-
-  /** Times `body` (ms). */
-  def timeMs[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1e6)
-  }
-
-  def meanStd(xs: Seq[Double]): (Double, Double) = {
-    val m = xs.sum / xs.size
-    val s = math.sqrt(xs.map(x => (x - m) * (x - m)).sum / xs.size)
-    (m, s)
   }
 }

@@ -1,53 +1,42 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Oracle
 import repro.corpus.Corpora
+import repro.corpus.SpreadsheetGen.GoldFile
+import repro.jobs.Table2Job
 
 /** Paper Table 2: synthetic overview of the evaluation datasets.
   *
   * Regenerates both corpora at full size and reports the same four rows the
-  * paper does, computed with Spark DataFrame aggregations that are
+  * paper does, computed with [[Table2Job]]'s Spark DataFrame aggregations
   * cross-checked against DuckDB. Paper numbers (Deco / Fuste):
   * files 854 / 886; single/multi 233/621 / 495/391; templates 750 / 136;
   * singleton/multi templates 679/71 / 105/31.
   */
 class Table2Bench extends AnyFunSuite {
 
-  private def stats(name: String): (Long, Long, Long, Long, Long, Long) = {
-    val spark = BenchSupport.spark
-    val files = BenchSupport.corpus(name)
-    val df = Corpora.filesDF(spark, files)
-
-    val agg = df.select(
-      count(lit(1)).as("files"),
-      sum(when(col("n_regions") === 1, 1).otherwise(0)).cast("long").as("single"),
-      sum(when(col("n_regions") > 1, 1).otherwise(0)).cast("long").as("multi"))
-    Oracle.assertEquivalent(agg,
+  private def stats(files: Vector[GoldFile]): (Long, Long, Long, Long, Long, Long) = {
+    val df = Corpora.filesDF(BenchSupport.spark, files)
+    val o = Table2Job.overview(df)
+    Oracle.assertEquivalent(o.regions,
       "SELECT COUNT(*) AS files, " +
       "CAST(SUM(CASE WHEN CAST(n_regions AS INT) = 1 THEN 1 ELSE 0 END) AS BIGINT) AS single, " +
       "CAST(SUM(CASE WHEN CAST(n_regions AS INT) > 1 THEN 1 ELSE 0 END) AS BIGINT) AS multi " +
       "FROM files", "files" -> df)
-
-    val tAgg = df.groupBy("template_id").agg(count(lit(1)).as("n"))
-      .select(
-        count(lit(1)).as("templates"),
-        sum(when(col("n") === 1, 1).otherwise(0)).cast("long").as("singleton"),
-        sum(when(col("n") > 1, 1).otherwise(0)).cast("long").as("multifile"))
-    Oracle.assertEquivalent(tAgg,
+    Oracle.assertEquivalent(o.templates,
       "SELECT COUNT(*) AS templates, " +
       "CAST(SUM(CASE WHEN n = 1 THEN 1 ELSE 0 END) AS BIGINT) AS singleton, " +
       "CAST(SUM(CASE WHEN n > 1 THEN 1 ELSE 0 END) AS BIGINT) AS multifile FROM " +
       "(SELECT template_id, COUNT(*) AS n FROM files GROUP BY template_id)", "files" -> df)
 
-    val r1 = agg.collect()(0); val r2 = tAgg.collect()(0)
+    val r1 = o.regions.collect()(0); val r2 = o.templates.collect()(0)
     (r1.getLong(0), r1.getLong(1), r1.getLong(2), r2.getLong(0), r2.getLong(1), r2.getLong(2))
   }
 
   test("Table 2: dataset overview matches the paper") {
-    val (dF, dS, dM, dT, dTs, dTm) = stats("deco")
-    val (fF, fS, fM, fT, fTs, fTm) = stats("fuste")
+    val Seq((dF, dS, dM, dT, dTs, dTm), (fF, fS, fM, fT, fTs, fTm)) =
+      BenchSupport.datasets.map { case (_, files, _) => stats(files) }
 
     BenchSupport.printTable("Paper Table 2 — synthetic overview of the evaluation datasets (paper | measured)",
       Seq("", "DECO paper", "DECO measured", "FUSTE paper", "FUSTE measured"),
@@ -63,8 +52,9 @@ class Table2Bench extends AnyFunSuite {
   }
 
   test("Table 2 context: average regions per file is of the paper's order") {
-    val dAvg = BenchSupport.deco.map(_.regions.size).sum.toDouble / BenchSupport.deco.size
-    val fAvg = BenchSupport.fuste.map(_.regions.size).sum.toDouble / BenchSupport.fuste.size
+    val Seq(dAvg, fAvg) = BenchSupport.datasets.map { case (_, files, _) =>
+      files.map(_.regions.size).sum.toDouble / files.size
+    }
     println(f"avg regions/file: deco=$dAvg%.2f (paper 4.43), fuste=$fAvg%.2f (paper 2.09)")
     assert(dAvg > 2.5 && dAvg < 6.5)
     assert(fAvg > 1.2 && fAvg < 3.5)

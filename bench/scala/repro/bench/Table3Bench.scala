@@ -1,13 +1,12 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.TemplateInference
-import repro.corpus.Corpora
-import repro.eval.{Metrics, Strategies}
+import repro.jobs.Table3Job
 
 /** Paper Table 3: template inference at varying number of regions
   * (homogeneity / completeness / v-measure at τ_f = 0.99, regions detected
-  * by Mondrian in the static-radius scenario, outliers excluded).
+  * by Mondrian in the static-radius scenario, outliers excluded), measured
+  * by [[Table3Job.rows]].
   *
   * Paper values:
   *   DECO : 1 region  232 files H .92 C .97 V .94 | [2,5] 470 H .97 C .98 V .98 | >=6 150 H .99 C .98 V .99
@@ -24,32 +23,14 @@ class Table3Bench extends AnyFunSuite {
     ("fuste", ">= 6")   -> (18, 1.00, 0.95, 0.97),
   )
 
-  private def run(name: String): Map[String, (Int, Double, Double, Double)] = {
-    val spark = BenchSupport.spark
-    val files = Corpora.excludeOutliers(BenchSupport.corpus(name))
-    val other = BenchSupport.corpus(if (name == "deco") "fuste" else "deco")
-    val regions = Strategies.detect(spark, "Static Radius", name, files, other)
-    val layouts = Strategies.layouts(files, regions)
-    val result = TemplateInference.infer(spark, layouts,
-      TemplateInference.Params(tauLayout = 0.99))
-    val byClass = files.groupBy(BenchSupport.regionClass)
-    byClass.map { case (cls, fs) =>
-      val assignments = fs.map(f => (f.templateId.hashCode, result.templateOf(f.fileId)))
-      val (h, c, v) = Metrics.vMeasure(assignments)
-      cls -> (fs.size, h, c, v)
-    }
-  }
-
   test("Table 3: template inference at varying number of regions") {
     val rows = for {
-      ds <- Seq("deco", "fuste")
-      measured = run(ds)
-      cls <- Seq("1", "[2, 5]", ">= 6")
+      (ds, files, _) <- BenchSupport.datasets
+      r <- Table3Job.rows(BenchSupport.spark, ds, files)
     } yield {
-      val (pN, pH, pC, pV) = paper((ds, cls))
-      val (n, h, c, v) = measured(cls)
-      Seq(ds.toUpperCase, cls, s"$pN", s"$n",
-        f"$pH%.2f", f"$h%.2f", f"$pC%.2f", f"$c%.2f", f"$pV%.2f", f"$v%.2f")
+      val (pN, pH, pC, pV) = paper((ds, r.regions))
+      Seq(ds.toUpperCase, r.regions, s"$pN", s"${r.files}",
+        f"$pH%.2f", f"${r.h}%.2f", f"$pC%.2f", f"${r.c}%.2f", f"$pV%.2f", f"${r.v}%.2f")
     }
     BenchSupport.printTable("Paper Table 3 — template inference at varying number of regions (tau_f = 0.99)",
       Seq("dataset", "regions", "#files paper", "#files ours",

@@ -1,12 +1,12 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.TemplateInference
-import repro.corpus.Corpora
 import repro.eval.Strategies
+import repro.jobs.Table4Job
 
 /** Paper Table 4: time performance of template inference per region-
-  * detection strategy (mean ± std over 3 runs), plus paper §5.5's headline
+  * detection strategy (mean ± std over 3 runs, measured by
+  * [[Table4Job.cell]]), plus paper §5.5's headline
   * observations as shape assertions:
   *   - strategies detecting more/noisier regions cost more inference time
   *     (Dynamic Radius slower than Static Radius on Fuste; Connected
@@ -33,54 +33,31 @@ class Table4Bench extends AnyFunSuite {
     ("deco", "Tablesense") -> "361.46 ± 47.47",     ("fuste", "Tablesense") -> "51.54 ± 9.37",
   )
 
-  private val Runs = 3
-
-  /** Measured seconds (mean, std) and mean detected regions, per strategy. */
-  private def measure(ds: String, strategy: String): (Double, Double, Double) = {
-    val spark = BenchSupport.spark
-    val files = Corpora.excludeOutliers(BenchSupport.corpus(ds))
-    val other = BenchSupport.corpus(if (ds == "deco") "fuste" else "deco")
-    val times = (0 until Runs).map { run =>
-      // ML strategies re-detect per run (non-deterministic pipelines are
-      // repeated end to end in the paper); others detect once outside the
-      // timed section — the table times the template-inference stage
-      val regions = Strategies.detect(spark, strategy, ds, files, other, runSeed = run)
-      val layouts = Strategies.layouts(files, regions)
-      val (_, ms) = BenchSupport.timeMs {
-        TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = 0.99))
-      }
-      (ms / 1000.0, regions.valuesIterator.map(_.size).sum.toDouble / files.size)
-    }
-    val (m, s) = BenchSupport.meanStd(times.map(_._1))
-    (m, s, times.map(_._2).sum / Runs)
-  }
-
   test("Table 4: time performance of template inference") {
-    val results = for {
-      ds <- Seq("deco", "fuste")
+    val byKey = (for {
+      (ds, files, other) <- BenchSupport.datasets
       strategy <- Strategies.All
     } yield {
-      val (m, s, avgRegions) = measure(ds, strategy)
-      println(f"[table4] $ds%-5s $strategy%-22s ${m}%8.2f s ± $s%5.2f (avg regions/file $avgRegions%.2f)")
-      (ds, strategy, m, s, avgRegions)
-    }
-    val byKey = results.map(r => (r._1, r._2) -> r).toMap
+      val c = Table4Job.cell(BenchSupport.spark, ds, files, other, strategy)
+      println(f"[table4] $ds%-5s $strategy%-22s ${c.mean}%8.2f s ± ${c.std}%5.2f (avg regions/file ${c.regionsPerFile}%.2f)")
+      (ds, strategy) -> c
+    }).toMap
 
     BenchSupport.printTable("Paper Table 4 — template inference time (s), paper | measured",
       Seq("Region detection", "DECO paper", "DECO measured", "FUSTE paper", "FUSTE measured"),
       Strategies.All.map { s =>
         val d = byKey(("deco", s)); val f = byKey(("fuste", s))
-        Seq(s, paper(("deco", s)), f"${d._3}%.2f ± ${d._4}%.2f",
-            paper(("fuste", s)), f"${f._3}%.2f ± ${f._4}%.2f")
+        Seq(s, paper(("deco", s)), f"${d.mean}%.2f ± ${d.std}%.2f",
+            paper(("fuste", s)), f"${f.mean}%.2f ± ${f.std}%.2f")
       })
 
     // shape: inference over gold regions is cheaper than over the noisier
     // mondrian-detected regions on the template-rich fuste dataset
-    assert(byKey(("fuste", "Gold Standard"))._3 <= byKey(("fuste", "Static Radius"))._3 * 1.5,
+    assert(byKey(("fuste", "Gold Standard")).mean <= byKey(("fuste", "Static Radius")).mean * 1.5,
       "gold should not be substantially slower than static radius on fuste")
     // shape: CC detects the most regions per file on deco, driving its cost up
-    val ccRegions = byKey(("deco", "Connected Components"))._5
-    val goldRegions = byKey(("deco", "Gold Standard"))._5
+    val ccRegions = byKey(("deco", "Connected Components")).regionsPerFile
+    val goldRegions = byKey(("deco", "Gold Standard")).regionsPerFile
     assert(ccRegions > goldRegions, "CC should over-segment deco vs gold")
   }
 }

@@ -13,10 +13,8 @@ import repro.eval.{Metrics, Strategies}
 object RegionDetectionJob {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder.appName("mondrian-region-detection").getOrCreate()
-    for (name <- Seq("deco", "fuste")) {
-      val files = Corpora.excludeOutliers(
-        if (name == "deco") Corpora.deco(spark) else Corpora.fuste(spark))
-      val other = if (name == "deco") Corpora.fuste(spark) else Corpora.deco(spark)
+    for ((name, corpus, other) <- Datasets.generate(spark)) {
+      val files = Corpora.excludeOutliers(corpus)
       for (strategy <- Strategies.All if strategy != "Gold Standard") {
         val det = Strategies.detect(spark, strategy, name, files, other)
         val scores = files.flatMap { f =>

@@ -143,7 +143,7 @@ object TableSenseSim {
     val model = train(trainFiles, cfg, seed = 97L + runSeed)
     val bc = spark.sparkContext.broadcast(model)
     spark.sparkContext
-      .parallelize(testFiles, math.min(testFiles.size, spark.sparkContext.defaultParallelism * 4))
+      .parallelize(testFiles, math.max(1, math.min(testFiles.size, spark.sparkContext.defaultParallelism * 4)))
       .map(f => f.fileId -> detectFile(f.grid, bc.value, cfg))
       .collect()
       .toMap

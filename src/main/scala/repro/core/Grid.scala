@@ -77,15 +77,6 @@ object Grid {
     out.result()
   }
 
-  /** Splits one csv line on the delimiter, honoring double-quote quoting
-    * (quotes may wrap fields containing delimiters; "" escapes a quote).
-    * A line break outside quotes ends the line; what follows is dropped.
-    */
-  def splitCsvLine(line: String, delim: Char = ','): Array[String] = {
-    val fields = records(line, delim).head
-    if (fields.isEmpty) Array("") else fields
-  }
-
   /** Parses csv text into a padded [[FileGrid]] (paper §4.1). Blank lines
     * inside the file are empty rows; trailing blank lines are dropped.
     */

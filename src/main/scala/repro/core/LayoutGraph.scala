@@ -20,12 +20,6 @@ final class LayoutGraph private (val fileId: String, val regions: Vector[Region]
                                  val dists: Array[Double]) extends Serializable {
   def size: Int = regions.length
 
-  /** The spatial relationship of regions i and j, if they share an edge. */
-  def edge(i: Int, j: Int): Option[SpatialRel] = {
-    val k = i * size + j
-    if (dirs(k) < 0) None else Some(SpatialRel(Alignment.values(dirs(k)), mags(k).toLong, dists(k)))
-  }
-
   /** Number of edges at each node. */
   val degree: Array[Int] = Array.tabulate(size)(i => (0 until size).count(j => dirs(i * size + j) >= 0))
 

@@ -1,14 +1,15 @@
 package repro.core
 
 import repro.core.Geometry.Rect
+import scala.collection.mutable.ArrayBuffer
 
 /** Image-domain segmentation of a spreadsheet (paper §4.1).
   *
   * 1. Connected components of the non-empty pixels (4-connectivity), the
-  *    cell aggregates of Figure 4c.
+  *    cell aggregates of Figure 4c, each held as its maximal horizontal
+  *    runs of non-empty cells.
   * 2. A rectilinear partition of each component into rectangular *elements*
-  *    (Figure 5c). We use the row-run merge decomposition: each row of a
-  *    component is split into maximal horizontal runs, and vertically
+  *    (Figure 5c). We use the row-run merge decomposition: vertically
   *    adjacent runs with identical x-extent are merged into one rectangle.
   *    Every cut coincides with a concave-vertex row of the component
   *    outline, so the decomposition is a valid "extend edges incident to
@@ -18,57 +19,58 @@ import repro.core.Geometry.Rect
   */
 object Segmentation {
 
-  /** A connected component: its member cells (non-empty only). */
-  final case class Component(cells: Vector[(Int, Int)]) {
-    def boundingBox: Rect = {
-      val xs = cells.map(_._1); val ys = cells.map(_._2)
-      Rect(xs.min, ys.min, xs.max, ys.max)
-    }
+  /** A connected component: its maximal horizontal runs, row-major. */
+  final case class Component(runs: Vector[Rect]) {
+    def boundingBox: Rect = Geometry.boundary(runs)
   }
 
   /** 4-connected components over the non-empty cells of a grid, in
-    * row-major order of their first cell, each with its cells in row-major
-    * order.
+    * row-major order of their first cell. One pass over the type image
+    * collects the runs row by row; a [[UnionFind]] over the runs joins the
+    * runs of consecutive rows that share a column, found by a two-pointer
+    * sweep of the two rows.
     */
   def connectedComponents(grid: FileGrid): Vector[Component] = {
-    val w = grid.width
     val img = grid.image
-    UnionFind.grid(w, grid.height, c => !img.isEmpty(c % w, c / w))
-      .map(cs => Component(cs.map(c => (c % w, c / w))))
+    val w = grid.width; val h = grid.height
+    val runs = ArrayBuffer.empty[Rect]
+    val rowStart = new Array[Int](h + 1) // the runs of row y: rowStart(y) until rowStart(y + 1)
+    for (y <- 0 until h) {
+      var x = 0
+      while (x < w) {
+        val x0 = x
+        while (x < w && !img.isEmpty(x, y)) x += 1
+        if (x > x0) runs += Rect(x0, y, x - 1, y) else x += 1
+      }
+      rowStart(y + 1) = runs.length
+    }
+    val sets = new UnionFind(runs.length)
+    for (y <- 1 until h) {
+      var i = rowStart(y - 1); var j = rowStart(y)
+      while (i < rowStart(y) && j < rowStart(y + 1)) {
+        val a = runs(i); val b = runs(j)
+        if (a.x0 <= b.x1 && b.x0 <= a.x1) sets.union(i, j)
+        if (a.x1 < b.x1) i += 1 else j += 1
+      }
+    }
+    sets.sets(runs.indices).map(rs => Component(rs.map(runs)))
   }
 
-  /** Rectilinear partition of one component into rectangles (elements). */
+  /** Rectilinear partition of one component into rectangles (elements), in
+    * the order of their top run: one pass over the runs, each extending the
+    * rectangle that ends on the row above with the same x-extent, or
+    * starting a new one.
+    */
   def partition(component: Component): Vector[Rect] = {
-    // maximal horizontal runs per row
-    val byRow = component.cells.groupBy(_._2).view.mapValues(_.map(_._1).sorted).toMap
-    final case class Run(y: Int, x0: Int, x1: Int)
-    val runs = byRow.toVector.sortBy(_._1).flatMap { case (y, xs) =>
-      val out = Vector.newBuilder[Run]
-      var start = xs.head; var prev = xs.head
-      for (x <- xs.tail) {
-        if (x != prev + 1) { out += Run(y, start, prev); start = x }
-        prev = x
+    val rects = ArrayBuffer.empty[Rect]
+    val lastAt = scala.collection.mutable.HashMap.empty[Int, Int] // x0 -> index of the last rectangle starting there
+    for (r <- component.runs) {
+      lastAt.get(r.x0).filter(k => rects(k).y1 == r.y0 - 1 && rects(k).x1 == r.x1) match {
+        case Some(k) => rects(k) = rects(k).copy(y1 = r.y0)
+        case None    => lastAt(r.x0) = rects.length; rects += r
       }
-      out += Run(y, start, prev)
-      out.result()
     }
-    // merge vertically adjacent runs with identical x-extent
-    val used = scala.collection.mutable.Set.empty[Run]
-    val byRowRuns = runs.groupBy(_.y)
-    val rects = Vector.newBuilder[Rect]
-    for (r <- runs if !used(r)) {
-      used += r
-      var y1 = r.y
-      var continue = true
-      while (continue) {
-        byRowRuns.getOrElse(y1 + 1, Vector.empty).find(n => !used(n) && n.x0 == r.x0 && n.x1 == r.x1) match {
-          case Some(n) => used += n; y1 += 1
-          case None    => continue = false
-        }
-      }
-      rects += Rect(r.x0, r.y, r.x1, y1)
-    }
-    rects.result()
+    rects.toVector
   }
 
   /** Full segmentation: connected components, then partition each into

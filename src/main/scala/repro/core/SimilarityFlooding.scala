@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.Geometry.{Alignment, SpatialRel}
+import repro.core.Geometry.Alignment
 
 /** Layout similarity via similarity flooding (paper §4.3, after Melnik et
   * al.): node similarities seeded from region fingerprints are iteratively
@@ -14,19 +14,10 @@ object SimilarityFlooding {
     */
   final case class Params(maxIterations: Int = 10, stopDelta: Double = 0.1)
 
-  /** Edge similarity (§4.3): 0 if either pair lacks an edge or alignment
-    * directions differ; otherwise [[featureSimilarity]] of the two edges'
-    * (magnitude, distance) feature vectors.
-    */
-  def edgeSimilarity(a: Option[SpatialRel], b: Option[SpatialRel], scale: Double = 0.0): Double = (a, b) match {
-    case (Some(ea), Some(eb)) if ea.direction == eb.direction =>
-      featureSimilarity(ea.magnitude.toDouble, ea.distance, eb.magnitude.toDouble, eb.distance, scale)
-    case _ => 0.0
-  }
-
   /** Similarity Φ of two same-direction edges with features (ma, da) and
     * (mb, db): 1 minus the Euclidean distance of the feature vectors
-    * "normalized by the maximum value" to land in [0, 1].
+    * "normalized by the maximum value" to land in [0, 1]. Edges of
+    * different directions, or a missing edge, have similarity 0 (§4.3).
     *
     * `scale` is that maximum: the flooding passes the largest edge-feature
     * norm across the two graphs (a per-graph-pair constant), so that small

@@ -20,8 +20,8 @@ import org.apache.spark.sql.SparkSession
   *     templates are its connected components (union-find on the driver —
   *     the file graph has one node per file, which is small).
   *
-  * A faithful sequential Algorithm 1 (`sequential`) is kept for fidelity
-  * tests on small corpora.
+  * A τ_f sweep runs `infer` once at the lowest τ_f and thresholds its
+  * edges per τ_f with `templatesFromEdges`.
   */
 object TemplateInference {
 
@@ -106,16 +106,6 @@ object TemplateInference {
     Result(templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout), edges, cands.length.toLong)
   }
 
-  /** Layout-similarity edges scoring ≥ `minTau` — used when sweeping τ_f:
-    * similarities are computed once and thresholded per τ ≥ `minTau`.
-    */
-  def scoredEdges(spark: SparkSession, layouts: Vector[LayoutGraph],
-                  tauRegion: Double, minTau: Double = 0.7,
-                  flood: SimilarityFlooding.Params = SimilarityFlooding.Params()): Vector[(String, String, Double)] = {
-    val files = layouts.sortBy(_.fileId).toArray
-    scorePairs(spark, files, candidates(spark, files.map(_.regions), tauRegion), minTau, flood)
-  }
-
   /** Scores candidate pairs of `files` (packed indices) on Spark and keeps
     * those with layout similarity ≥ `floor` (step 2). Pairs whose
     * node-count bound (§5.4) is below `floor` are never flooded, and
@@ -152,37 +142,5 @@ object TemplateInference {
     val sets = new UnionFind(ids.size)
     for ((a, b, s) <- edges if s >= tauLayout) sets.union(index(a), index(b))
     (for ((set, t) <- sets.sets(ids.indices).zipWithIndex; i <- set) yield ids(i) -> t).toMap
-  }
-
-  /** Sequential Algorithm 1 exactly as printed in the paper, for fidelity
-    * tests: iterative region index with pruning, then similarity graph and
-    * connected components.
-    */
-  def sequential(layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
-    // region index: representative region -> set of files containing a match
-    val index = scala.collection.mutable.ArrayBuffer.empty[(Region, scala.collection.mutable.Set[String])]
-    val candidates = scala.collection.mutable.Set.empty[(String, String)]
-    for (g <- layouts) {
-      for (r <- g.regions) {
-        var matched = false
-        for ((rt, fs) <- index) {
-          if (RegionSimilarity.similarity(r, rt) >= p.tauRegion) {
-            matched = true
-            for (ft <- fs if ft != g.fileId) {
-              val (a, b) = if (ft < g.fileId) (ft, g.fileId) else (g.fileId, ft)
-              candidates += ((a, b))
-            }
-            fs += g.fileId
-          }
-        }
-        if (!matched) index += ((r, scala.collection.mutable.Set(g.fileId)))
-      }
-    }
-    val byFile = layouts.map(g => g.fileId -> g).toMap
-    val keep = candidates.toVector.map { case (a, b) =>
-      (a, b, SimilarityFlooding.similarity(byFile(a), byFile(b), p.flooding, p.tauLayout))
-    }.filter(_._3 >= p.tauLayout)
-    val templates = templatesFromEdges(layouts.map(_.fileId), keep, p.tauLayout)
-    Result(templates, keep, candidates.size.toLong)
   }
 }

@@ -84,7 +84,7 @@ object Corpora {
       }
     }
     spark.sparkContext
-      .parallelize(fileSpecs, math.min(fileSpecs.size, spark.sparkContext.defaultParallelism * 4))
+      .parallelize(fileSpecs, math.max(1, math.min(fileSpecs.size, spark.sparkContext.defaultParallelism * 4)))
       .map { case (tp, k, fileId) =>
         val spec = SpreadsheetGen.template(tp.templateId, tp.sizeClass, seed(name, tp.templateId))
         SpreadsheetGen.instantiate(spec, fileId, seed(name, tp.templateId, s"file$k"), tp.outlier)

@@ -30,7 +30,7 @@ object Strategies {
     val p = paramsFor(dataset)
     def parallel(f: GoldFile => Vector[Region]): Map[String, Vector[Region]] =
       spark.sparkContext
-        .parallelize(files, math.min(files.size, spark.sparkContext.defaultParallelism * 4))
+        .parallelize(files, math.max(1, math.min(files.size, spark.sparkContext.defaultParallelism * 4)))
         .map(g => g.fileId -> f(g))
         .collect()
         .toMap

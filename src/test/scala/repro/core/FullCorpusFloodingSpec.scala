@@ -116,9 +116,9 @@ class FullCorpusFloodingSpec extends SparkSpec {
       assert(groups(r.templateOf) == groups(TemplateInference.templatesFromEdges(cs.files, refEdges, tauLayout)))
     }
 
-    test(s"$name: scoredEdges keeps the reference's scores ≥ $minTau") {
+    test(s"$name: infer at the sweep floor $minTau keeps the reference's scores ≥ $minTau") {
       val cs = c()
-      val got = TemplateInference.scoredEdges(spark, cs.layouts, tauRegion, minTau)
+      val got = TemplateInference.infer(spark, cs.layouts, TemplateInference.Params(tauRegion, minTau)).edges
       assert(edgeMap(got) == cs.reference.filter(_._2 >= minTau))
     }
   }

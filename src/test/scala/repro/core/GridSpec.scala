@@ -5,23 +5,30 @@ import org.scalatest.funsuite.AnyFunSuite
 /** CSV parsing and grid normalization (paper §4.1). */
 class GridSpec extends AnyFunSuite {
 
+  /** The fields of one csv line: the only row [[Grid.fromCsv]] reads. */
+  private def splitCsvLine(line: String, delim: Char = ','): Array[String] = {
+    val g = Grid.fromCsv("f", line, delim)
+    assert(g.height == 1)
+    g.rows.head
+  }
+
   test("splitCsvLine on plain fields") {
-    assert(Grid.splitCsvLine("a,b,c").toSeq == Seq("a", "b", "c"))
+    assert(splitCsvLine("a,b,c").toSeq == Seq("a", "b", "c"))
   }
   test("splitCsvLine keeps empty fields") {
-    assert(Grid.splitCsvLine("a,,c,").toSeq == Seq("a", "", "c", ""))
+    assert(splitCsvLine("a,,c,").toSeq == Seq("a", "", "c", ""))
   }
   test("splitCsvLine honors quoted delimiter") {
-    assert(Grid.splitCsvLine("\"a,b\",c").toSeq == Seq("a,b", "c"))
+    assert(splitCsvLine("\"a,b\",c").toSeq == Seq("a,b", "c"))
   }
   test("splitCsvLine unescapes doubled quotes") {
-    assert(Grid.splitCsvLine("\"say \"\"hi\"\"\",x").toSeq == Seq("say \"hi\"", "x"))
+    assert(splitCsvLine("\"say \"\"hi\"\"\",x").toSeq == Seq("say \"hi\"", "x"))
   }
   test("splitCsvLine with custom delimiter") {
-    assert(Grid.splitCsvLine("a;b;c", ';').toSeq == Seq("a", "b", "c"))
+    assert(splitCsvLine("a;b;c", ';').toSeq == Seq("a", "b", "c"))
   }
   test("single field line") {
-    assert(Grid.splitCsvLine("only").toSeq == Seq("only"))
+    assert(splitCsvLine("only").toSeq == Seq("only"))
   }
 
   test("fromCsv pads ragged rows to the longest") {

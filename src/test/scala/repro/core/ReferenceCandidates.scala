@@ -1,8 +1,9 @@
 package repro.core
 
-/** The reference candidate scan for the tests: every cross-file region pair
-  * scored by the 192-bin [[RegionSimilarity.crossCorrelation]] of the
-  * regions' histograms, as the code did before the closed form.
+/** The reference candidate scans for the tests: every cross-file region
+  * pair scored by the 192-bin [[RegionSimilarity.crossCorrelation]] of the
+  * regions' histograms, as the code did before the closed form; and the
+  * paper's sequential Algorithm 1 with its growing region index.
   */
 object ReferenceCandidates {
 
@@ -22,4 +23,36 @@ object ReferenceCandidates {
     regions.indices.iterator.flatMap { i =>
       row(regions, i).collect { case (j, s) if s >= tauRegion => filePair(regions(i), regions(j)) }
     }.toSet
+
+  /** Sequential Algorithm 1 exactly as printed in the paper, for fidelity
+    * tests: iterative region index with pruning, then similarity graph and
+    * connected components.
+    */
+  def sequential(layouts: Vector[LayoutGraph], p: TemplateInference.Params): TemplateInference.Result = {
+    // region index: representative region -> set of files containing a match
+    val index = scala.collection.mutable.ArrayBuffer.empty[(Region, scala.collection.mutable.Set[String])]
+    val candidates = scala.collection.mutable.Set.empty[(String, String)]
+    for (g <- layouts) {
+      for (r <- g.regions) {
+        var matched = false
+        for ((rt, fs) <- index) {
+          if (RegionSimilarity.similarity(r, rt) >= p.tauRegion) {
+            matched = true
+            for (ft <- fs if ft != g.fileId) {
+              val (a, b) = if (ft < g.fileId) (ft, g.fileId) else (g.fileId, ft)
+              candidates += ((a, b))
+            }
+            fs += g.fileId
+          }
+        }
+        if (!matched) index += ((r, scala.collection.mutable.Set(g.fileId)))
+      }
+    }
+    val byFile = layouts.map(g => g.fileId -> g).toMap
+    val keep = candidates.toVector.map { case (a, b) =>
+      (a, b, SimilarityFlooding.similarity(byFile(a), byFile(b), p.flooding, p.tauLayout))
+    }.filter(_._3 >= p.tauLayout)
+    val templates = TemplateInference.templatesFromEdges(layouts.map(_.fileId), keep, p.tauLayout)
+    TemplateInference.Result(templates, keep, candidates.size.toLong)
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.Geometry.SpatialRel
+import repro.core.Geometry.{Alignment, SpatialRel}
 
 /** Reference similarity flooding for the tests: the straightforward
   * formulation `SimilarityFlooding` had before it became an array kernel
@@ -9,6 +9,14 @@ import repro.core.Geometry.SpatialRel
   * iteration. The kernel must return the same doubles.
   */
 object ReferenceFlooding {
+
+  /** The spatial relationship of regions i and j of `g`, if they share an
+    * edge.
+    */
+  def edge(g: LayoutGraph, i: Int, j: Int): Option[SpatialRel] = {
+    val k = i * g.size + j
+    if (g.dirs(k) < 0) None else Some(SpatialRel(Alignment.values(g.dirs(k)), g.mags(k).toLong, g.dists(k)))
+  }
 
   def edgeSimilarity(a: Option[SpatialRel], b: Option[SpatialRel], scale: Double): Double = (a, b) match {
     case (Some(ea), Some(eb)) if ea.direction == eb.direction =>
@@ -28,7 +36,7 @@ object ReferenceFlooding {
 
   def featureScale(g: LayoutGraph): Double = {
     var mx = 0.0
-    for (i <- 0 until g.size; j <- 0 until g.size; r <- g.edge(i, j)) {
+    for (i <- 0 until g.size; j <- 0 until g.size; r <- edge(g, i, j)) {
       val n = math.sqrt(r.magnitude.toDouble * r.magnitude + r.distance * r.distance)
       if (n > mx) mx = n
     }
@@ -43,7 +51,7 @@ object ReferenceFlooding {
     var sigma = sigma0.map(_.clone())
     val scale = math.max(featureScale(ga), featureScale(gb))
 
-    def degree(g: LayoutGraph, i: Int): Int = (0 until g.size).count(j => g.edge(i, j).isDefined)
+    def degree(g: LayoutGraph, i: Int): Int = (0 until g.size).count(j => edge(g, i, j).isDefined)
 
     var it = 0
     var delta = Double.MaxValue
@@ -54,12 +62,12 @@ object ReferenceFlooding {
         val degNorm = math.pow(2.0, math.abs(degree(ga, i) - degree(gb, j)).toDouble)
         var m = 0
         while (m < u) {
-          if (m != i && ga.edge(i, m).isDefined) {
+          if (m != i && edge(ga, i, m).isDefined) {
             var bestN = -1; var bestPhi = 0.0; var bestContrib = 0.0
             var n = 0
             while (n < v) {
-              if (n != j && gb.edge(j, n).isDefined) {
-                val phi = edgeSimilarity(ga.edge(i, m), gb.edge(j, n), scale)
+              if (n != j && edge(gb, j, n).isDefined) {
+                val phi = edgeSimilarity(edge(ga, i, m), edge(gb, j, n), scale)
                 val contrib = phi * sigma(m)(n)
                 if (contrib > bestContrib) { bestContrib = contrib; bestPhi = phi; bestN = n }
               }

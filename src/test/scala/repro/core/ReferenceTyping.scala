@@ -5,9 +5,11 @@ import repro.core.Geometry.Rect
 /** Reference cell-by-cell versions of the stages that read the type image,
   * for the tests: each re-types the raw strings of every cell it visits,
   * as the code did before [[TypeImage]]. The image-backed functions must
-  * return the same values, histograms bit for bit. Detection here clusters
-  * with DBSCAN ([[dbscan]]), the reference for [[Clustering]]'s ε-graph
-  * components.
+  * return the same values, histograms bit for bit. Components here are
+  * flood-filled cells, partitioned by regrouping the cells into runs
+  * ([[components]], [[partition]]): the reference for the run-based
+  * segmentation; detection clusters with DBSCAN ([[dbscan]]), the
+  * reference for [[Clustering]]'s ε-graph components.
   */
 object ReferenceTyping {
 
@@ -65,13 +67,21 @@ object ReferenceTyping {
     if (gold.isEmpty) 0.0
     else gold.map(t => if (regions.isEmpty) 0.0 else regions.map(r => iou(grid, r.box, t)).max).sum / gold.size
 
+  /** A connected component: its member cells (non-empty only). */
+  final case class Component(cells: Vector[(Int, Int)]) {
+    def boundingBox: Rect = {
+      val xs = cells.map(_._1); val ys = cells.map(_._2)
+      Rect(xs.min, ys.min, xs.max, ys.max)
+    }
+  }
+
   /** 4-connected components of the non-empty cells, each found by a flood
     * fill over re-typed cells; cells in the fill's visiting order.
     */
-  def components(grid: FileGrid): Vector[Segmentation.Component] = {
+  def components(grid: FileGrid): Vector[Component] = {
     val w = grid.width; val h = grid.height
     val label = Array.fill(h, w)(false)
-    val out = Vector.newBuilder[Segmentation.Component]
+    val out = Vector.newBuilder[Component]
     for (y <- 0 until h; x <- 0 until w if !isEmpty(grid, x, y) && !label(y)(x)) {
       val cells = Vector.newBuilder[(Int, Int)]
       val stack = scala.collection.mutable.ArrayDeque((x, y)); label(y)(x) = true
@@ -83,13 +93,50 @@ object ReferenceTyping {
             label(ny)(nx) = true; stack.append((nx, ny))
           }
       }
-      out += Segmentation.Component(cells.result())
+      out += Component(cells.result())
     }
     out.result()
   }
 
-  /** Segmentation elements of the flood-filled components. */
-  def elements(grid: FileGrid): Vector[Rect] = components(grid).flatMap(Segmentation.partition)
+  /** Rectilinear partition of one component into rectangles (elements):
+    * maximal horizontal runs per row, then vertically adjacent runs with
+    * identical x-extent merged, rectangles in the order of their top run.
+    */
+  def partition(component: Component): Vector[Rect] = {
+    // maximal horizontal runs per row
+    val byRow = component.cells.groupBy(_._2).view.mapValues(_.map(_._1).sorted).toMap
+    final case class Run(y: Int, x0: Int, x1: Int)
+    val runs = byRow.toVector.sortBy(_._1).flatMap { case (y, xs) =>
+      val out = Vector.newBuilder[Run]
+      var start = xs.head; var prev = xs.head
+      for (x <- xs.tail) {
+        if (x != prev + 1) { out += Run(y, start, prev); start = x }
+        prev = x
+      }
+      out += Run(y, start, prev)
+      out.result()
+    }
+    // merge vertically adjacent runs with identical x-extent
+    val used = scala.collection.mutable.Set.empty[Run]
+    val byRowRuns = runs.groupBy(_.y)
+    val rects = Vector.newBuilder[Rect]
+    for (r <- runs if !used(r)) {
+      used += r
+      var y1 = r.y
+      var continue = true
+      while (continue) {
+        byRowRuns.getOrElse(y1 + 1, Vector.empty).find(n => !used(n) && n.x0 == r.x0 && n.x1 == r.x1) match {
+          case Some(n) => used += n; y1 += 1
+          case None    => continue = false
+        }
+      }
+      rects += Rect(r.x0, r.y, r.x1, y1)
+    }
+    rects.result()
+  }
+
+  /** The elements of the flood-filled components. */
+  def elements(grid: FileGrid): Vector[Rect] = components(grid).flatMap(partition)
 
   /** DBSCAN over elements with minPts = 1 and no noise (paper §4.2): the
     * cluster id of each input element, clusters numbered in the order the

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Geometry.Rect
 
@@ -17,7 +20,7 @@ class SegmentationSpec extends AnyFunSuite {
   }
   test("single cell is one component") {
     val cs = Segmentation.connectedComponents(grid("a"))
-    assert(cs.size == 1 && cs.head.cells == Vector((0, 0)))
+    assert(cs.size == 1 && cs.head.runs.flatMap(_.cells) == Vector((0, 0)))
   }
   test("horizontally adjacent cells join one component") {
     assert(Segmentation.connectedComponents(grid("a|b|c")).size == 1)
@@ -41,9 +44,31 @@ class SegmentationSpec extends AnyFunSuite {
   test("components cover every non-empty cell exactly once") {
     val g = grid("a| |b|b", "a| | |b", " | |b|b")
     val cs = Segmentation.connectedComponents(g)
-    val all = cs.flatMap(_.cells)
+    val all = cs.flatMap(_.runs.flatMap(_.cells))
     assert(all.size == all.distinct.size)
     assert(all.toSet == g.nonEmptyCells.toSet)
+  }
+
+  private val genGrid: Gen[FileGrid] = for {
+    h    <- Gen.choose(0, 12)
+    w    <- Gen.choose(0, 12)
+    rows <- Gen.listOfN(h, Gen.listOfN(w, Gen.frequency(3 -> Gen.oneOf("", " "), 4 -> Gen.oneOf("1", "a", "x y"))))
+  } yield Grid.fromRows("f", rows)
+
+  test("run components equal the reference flood fill's, in order, with maximal row-major runs") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(500).withInitialSeed(Seed(19751L))
+    val res = org.scalacheck.Test.check(params, Prop.forAll(genGrid) { g =>
+      val got = Segmentation.connectedComponents(g)
+      val want = ReferenceTyping.components(g)
+      def maximal(r: Rect) =
+        (r.x0 == 0 || g.image.isEmpty(r.x0 - 1, r.y0)) && (r.x1 == g.width - 1 || g.image.isEmpty(r.x1 + 1, r.y0))
+      (got.map(_.runs.flatMap(_.cells).toSet) == want.map(_.cells.toSet)) :| "components" &&
+        (got.map(_.boundingBox) == want.map(_.boundingBox)) :| "boxes" &&
+        got.forall(c => c.runs == c.runs.sortBy(r => (r.y0, r.x0))) :| "row-major runs" &&
+        got.forall(_.runs.forall(r => r.height == 1 && maximal(r))) :| "maximal one-row runs"
+    })
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
   }
 
   test("partition of a solid rectangle is itself") {
@@ -80,7 +105,7 @@ class SegmentationSpec extends AnyFunSuite {
       for (c <- Segmentation.connectedComponents(g)) {
         val covered = Segmentation.partition(c).flatMap(_.cells)
         assert(covered.size == covered.distinct.size, "rectangles overlap")
-        assert(covered.toSet == c.cells.toSet, "rectangles must tile the component")
+        assert(covered.toSet == c.runs.flatMap(_.cells).toSet, "rectangles must tile the component")
       }
     }
   }

@@ -18,26 +18,26 @@ class SimilarityFloodingSpec extends AnyFunSuite {
   // --- edge similarity
   test("edge similarity of identical edges is 1") {
     val e = Some(SpatialRel(H, 3, 2.0))
-    assert(SimilarityFlooding.edgeSimilarity(e, e) == 1.0)
+    assert(ReferenceFlooding.edgeSimilarity(e, e, 0.0) == 1.0)
   }
   test("edge similarity across different directions is 0") {
-    assert(SimilarityFlooding.edgeSimilarity(
-      Some(SpatialRel(H, 3, 2.0)), Some(SpatialRel(V, 3, 2.0))) == 0.0)
+    assert(ReferenceFlooding.edgeSimilarity(
+      Some(SpatialRel(H, 3, 2.0)), Some(SpatialRel(V, 3, 2.0)), 0.0) == 0.0)
   }
   test("edge similarity with a missing edge is 0") {
-    assert(SimilarityFlooding.edgeSimilarity(None, Some(SpatialRel(H, 3, 2.0))) == 0.0)
-    assert(SimilarityFlooding.edgeSimilarity(Some(SpatialRel(H, 3, 2.0)), None) == 0.0)
+    assert(ReferenceFlooding.edgeSimilarity(None, Some(SpatialRel(H, 3, 2.0)), 0.0) == 0.0)
+    assert(ReferenceFlooding.edgeSimilarity(Some(SpatialRel(H, 3, 2.0)), None, 0.0) == 0.0)
   }
   test("edge similarity decreases with feature distance") {
     val base = Some(SpatialRel(H, 5, 2.0))
-    val near = SimilarityFlooding.edgeSimilarity(base, Some(SpatialRel(H, 5, 3.0)))
-    val far  = SimilarityFlooding.edgeSimilarity(base, Some(SpatialRel(H, 5, 9.0)))
+    val near = ReferenceFlooding.edgeSimilarity(base, Some(SpatialRel(H, 5, 3.0)), 0.0)
+    val far  = ReferenceFlooding.edgeSimilarity(base, Some(SpatialRel(H, 5, 9.0)), 0.0)
     assert(near > far)
     assert(near > 0.0 && near < 1.0 && far >= 0.0 && far <= 1.0)
   }
   test("edge similarity of two zero-feature edges is 1") {
-    assert(SimilarityFlooding.edgeSimilarity(
-      Some(SpatialRel(V, 0, 0.0)), Some(SpatialRel(V, 0, 0.0))) == 1.0)
+    assert(ReferenceFlooding.edgeSimilarity(
+      Some(SpatialRel(V, 0, 0.0)), Some(SpatialRel(V, 0, 0.0)), 0.0) == 1.0)
   }
 
   // --- Hungarian matching
@@ -133,9 +133,10 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val g = grid("1|2", "3|4", " | ", "a|b")
     val l = layoutOf("a", g, Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))
     assert(l.size == 2)
-    assert(l.edge(0, 0).isEmpty && l.edge(1, 1).isEmpty)
-    assert(l.edge(0, 1).contains(Geometry.spatialRel(Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))))
-    assert(l.edge(1, 0).contains(Geometry.spatialRel(Rect(0, 3, 1, 3), Rect(0, 0, 1, 1))))
+    def edge(i: Int, j: Int) = ReferenceFlooding.edge(l, i, j)
+    assert(edge(0, 0).isEmpty && edge(1, 1).isEmpty)
+    assert(edge(0, 1).contains(Geometry.spatialRel(Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))))
+    assert(edge(1, 0).contains(Geometry.spatialRel(Rect(0, 3, 1, 3), Rect(0, 0, 1, 1))))
   }
 
   // --- properties of the flooding kernel against the reference formulation
@@ -201,7 +202,7 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val r = a.regions(k)
     val c = r.counts.clone(); c(t) += 1
     val rs = a.regions.updated(k, r.copy(fileId = "b", counts = c))
-    LayoutGraph("b", if (drop) rs.init else rs, a.edge)
+    LayoutGraph("b", if (drop) rs.init else rs, ReferenceFlooding.edge(a, _, _))
   }
 
   private val genPair: Gen[(LayoutGraph, LayoutGraph)] = Gen.frequency(

@@ -95,8 +95,12 @@ class TemplateInferenceSpec extends SparkSpec {
     assert(v > 0.75, s"v-measure $v")
   }
 
+  /** Edges ≥ 0.7, thresholded per τ_f in a sweep. */
+  private lazy val sweepEdges =
+    TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = 0.7)).edges
+
   test("threshold 1.0 makes nearly every file its own template (perfect homogeneity)") {
-    val edges = TemplateInference.scoredEdges(spark, layouts, 0.75)
+    val edges = sweepEdges
     val t = TemplateInference.templatesFromEdges(files.map(_.fileId), edges, 1.0 + 1e-9)
     val gold = files.map(_.templateId.hashCode)
     val pred = files.map(f => t(f.fileId))
@@ -105,7 +109,7 @@ class TemplateInferenceSpec extends SparkSpec {
   }
 
   test("lowering the threshold merges more (completeness monotone)") {
-    val edges = TemplateInference.scoredEdges(spark, layouts, 0.75)
+    val edges = sweepEdges
     def nTemplates(tau: Double) =
       TemplateInference.templatesFromEdges(files.map(_.fileId), edges, tau).values.toSet.size
     assert(nTemplates(0.7) <= nTemplates(0.9))
@@ -121,7 +125,7 @@ class TemplateInferenceSpec extends SparkSpec {
   test("spark and sequential Algorithm 1 agree on the fixed point") {
     // sequential index pruning is a subset of all-pairs candidates; with
     // gold regions both must find the same same-template groups
-    val seq = TemplateInference.sequential(layouts, TemplateInference.Params(tauLayout = 0.99))
+    val seq = ReferenceCandidates.sequential(layouts, TemplateInference.Params(tauLayout = 0.99))
     val par = TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = 0.99))
     def groups(m: Map[String, Int]) = m.groupBy(_._2).values.map(_.keys.toSet).toSet
     assert(groups(seq.templateOf) == groups(par.templateOf))
@@ -134,10 +138,9 @@ class TemplateInferenceSpec extends SparkSpec {
     assert(result.templateOf.values.count(_ == result.templateOf("empty-file")) == 1)
   }
 
-  test("scoredEdges respects the size-bound pruning") {
-    val edges = TemplateInference.scoredEdges(spark, layouts, 0.75, minTau = 0.7)
+  test("sweep edges respect the size-bound pruning") {
     val sizeOf = layouts.map(g => g.fileId -> g.size).toMap
-    for ((a, b, _) <- edges)
+    for ((a, b, _) <- sweepEdges)
       assert(LayoutGraph.sizeBound(sizeOf(a), sizeOf(b)) >= 0.7)
   }
 

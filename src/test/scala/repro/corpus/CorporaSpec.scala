@@ -58,6 +58,9 @@ class CorporaSpec extends SparkSpec {
     val plan = Corpora.scaledForTest(Corpora.decoPlan, 0.02)
     assert(mini.size == plan.map(_.files).sum)
   }
+  test("generation of an empty plan is empty") {
+    assert(Corpora.generate(spark, "none", Vector.empty).isEmpty)
+  }
   test("file ids are unique") {
     assert(mini.map(_.fileId).distinct.size == mini.size)
   }

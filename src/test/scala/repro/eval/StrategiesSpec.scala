@@ -36,6 +36,12 @@ class StrategiesSpec extends SparkSpec {
     }
   }
 
+  for (s <- Seq("Gold Standard", "Static Radius", "Dynamic Radius", "Connected Components")) {
+    test(s"strategy '$s' detects nothing in an empty corpus") {
+      assert(Strategies.detect(spark, s, "deco", Vector.empty, fuste).isEmpty)
+    }
+  }
+
   test("gold strategy reproduces the gold boxes exactly") {
     val regions = Strategies.detect(spark, "Gold Standard", "deco", deco, fuste)
     for (f <- deco)
