@@ -12,7 +12,7 @@ import repro.eval.{Metrics, Strategies}
   */
 object RegionDetectionJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("mondrian-region-detection").getOrCreate()
+    val spark = SparkSession.builder().appName("mondrian-region-detection").getOrCreate()
     for ((name, corpus, other) <- Datasets.generate(spark)) {
       val files = Corpora.excludeOutliers(corpus)
       for (strategy <- Strategies.All if strategy != "Gold Standard") {

@@ -27,7 +27,7 @@ object Table2Job {
       sum(when(col("n") > 1, 1).otherwise(0)).cast("long").as("multifile")))
 
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("mondrian-table2").getOrCreate()
+    val spark = SparkSession.builder().appName("mondrian-table2").getOrCreate()
     for ((name, files, _) <- Datasets.generate(spark)) {
       val o = overview(Corpora.filesDF(spark, files))
       val r = o.regions.collect()(0); val t = o.templates.collect()(0)

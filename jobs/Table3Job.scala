@@ -37,7 +37,7 @@ object Table3Job {
   }
 
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("mondrian-table3").getOrCreate()
+    val spark = SparkSession.builder().appName("mondrian-table3").getOrCreate()
     val tauF = args.headOption.map(_.toDouble).getOrElse(0.99)
     for ((name, files, _) <- Datasets.generate(spark); r <- rows(spark, name, files, tauF))
       println(f"[$name] regions=${r.regions}%-6s files=${r.files}%4d H=${r.h}%.2f C=${r.c}%.2f V=${r.v}%.2f (tauF=$tauF)")

@@ -41,7 +41,7 @@ object Table4Job {
   }
 
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("mondrian-table4").getOrCreate()
+    val spark = SparkSession.builder().appName("mondrian-table4").getOrCreate()
     val runs = args.headOption.map(_.toInt).getOrElse(Runs)
     for ((name, files, other) <- Datasets.generate(spark); strategy <- Strategies.All) {
       val c = cell(spark, name, files, other, strategy, runs)

@@ -88,7 +88,6 @@ object DecisionForest {
   def train(data: IndexedSeq[Instance], nClasses: Int, p: Params = Params()): Forest = {
     require(data.nonEmpty, "empty training set")
     val nFeatures = data.head.features.length
-    val rnd = new Random(p.seed)
     val roots = Vector.tabulate(p.trees) { t =>
       val treeRnd = new Random(p.seed * 31 + t)
       val boot = IndexedSeq.fill(data.length)(data(treeRnd.nextInt(data.length)))

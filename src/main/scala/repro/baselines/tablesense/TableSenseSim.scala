@@ -2,7 +2,7 @@ package repro.baselines.tablesense
 
 import scala.util.Random
 import org.apache.spark.sql.SparkSession
-import repro.core.{Cells, FileGrid, Geometry, UnionFind}
+import repro.core.{Cells, FileGrid, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.GoldFile
 import repro.eval.Metrics

@@ -45,8 +45,6 @@ object Cells {
   val all: Seq[SynType] =
     Seq(Empty, IntegerSt, FloatSt, TimeSt, DateSt, UppercaseSt, LowercaseSt, TitlecaseSt, GenericSt)
 
-  def byCode(code: Int): SynType = all(code)
-
   private val IntRe   = """[+-]?\d+""".r
   private val FloatRe = """[+-]?(\d+[.,]\d*|[.,]\d+)([eE][+-]?\d+)?""".r
   private val TimeRe  = """\d{1,2}:\d{2}(:\d{2})?""".r

@@ -34,12 +34,9 @@ object Geometry {
     def width: Int  = x1 - x0 + 1
     def height: Int = y1 - y0 + 1
     def area: Long  = width.toLong * height.toLong
-    def contains(x: Int, y: Int): Boolean = x >= x0 && x <= x1 && y >= y0 && y <= y1
     /** Smallest rectangle covering both. */
     def union(o: Rect): Rect =
       Rect(math.min(x0, o.x0), math.min(y0, o.y0), math.max(x1, o.x1), math.max(y1, o.y1))
-    def cells: IndexedSeq[(Int, Int)] =
-      for (y <- y0 to y1; x <- x0 to x1) yield (x, y)
   }
 
   /** Shared extent of the y-projections (≥ 1 iff overlapping). */

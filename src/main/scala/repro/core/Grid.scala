@@ -25,14 +25,6 @@ final case class FileGrid(fileId: String, rows: Array[Array[String]]) {
 
   /** Syntactic-type code of cell (x, y); 0 is Empty. */
   def typeCode(x: Int, y: Int): Int = image.code(x, y)
-
-  /** All non-empty cell coordinates, row-major. */
-  def nonEmptyCells: IndexedSeq[(Int, Int)] =
-    for {
-      y <- 0 until height
-      x <- 0 until width
-      if !image.isEmpty(x, y)
-    } yield (x, y)
 }
 
 object Grid {

@@ -17,27 +17,21 @@ object SimilarityFlooding {
   /** Similarity Φ of two same-direction edges with features (ma, da) and
     * (mb, db): 1 minus the Euclidean distance of the feature vectors
     * "normalized by the maximum value" to land in [0, 1]. Edges of
-    * different directions, or a missing edge, have similarity 0 (§4.3).
+    * different directions have similarity 0 (§4.3).
     *
     * `scale` is that maximum: the flooding passes the largest edge-feature
     * norm across the two graphs (a per-graph-pair constant), so that small
     * absolute jitters between corresponding edges — e.g. a footnote block
     * shifted by two rows between two files of one template, cf. §2 — yield
     * similarities near 1 instead of being normalized by their own small
-    * feature values. Without a scale the per-pair maximum is used.
+    * feature values. Magnitudes and distances are never negative, so a
+    * scale of 0 means every feature is 0 and every edge pair is identical.
     */
-  def featureSimilarity(ma: Double, da: Double, mb: Double, db: Double, scale: Double): Double = {
+  private def featureSimilarity(ma: Double, da: Double, mb: Double, db: Double, scale: Double): Double = {
     val dm = ma - mb
     val dd = da - db
     val d  = math.sqrt(dm * dm + dd * dd)
-    val norm =
-      if (scale > 0.0) scale
-      else {
-        val mm = math.max(ma, mb)
-        val md = math.max(math.abs(da), math.abs(db))
-        math.sqrt(mm * mm + md * md)
-      }
-    if (norm == 0.0) 1.0 else 1.0 - math.min(1.0, d / norm)
+    if (scale == 0.0) 1.0 else 1.0 - math.min(1.0, d / scale)
   }
 
   /** Margin by which an upper bound must fall short of `atLeast` before
@@ -53,8 +47,10 @@ object SimilarityFlooding {
     * the neighborhood contribution into every node pair (i, j): for every
     * neighbor m of i, only the neighbor n of j with the maximal
     * contribution Φ·σ(m, n) is used (1:1 match assumption; ties go to the
-    * lowest n), weighted by Φ normalized by D = 2^|deg(i) − deg(j)|. The
-    * update is the *normalized* (convex) form
+    * lowest n), weighted by Φ normalized by D = 2^|deg(i) − deg(j)|.
+    * Layouts are complete graphs: every node of Ga has degree |Ga| − 1, so
+    * D = 2^||Ga| − |Gb|| is one constant per pair of graphs. The update is
+    * the *normalized* (convex) form
     *
     *   σ'(i,j) = (σ⁰(i,j) + Σ_m Φ·σ(m,n)/D) / (1 + Σ_m Φ/D)
     *
@@ -85,17 +81,15 @@ object SimilarityFlooding {
       val s = RegionSimilarity.similarity(ga.regions(i), gb.regions(j))
       s0(i)(j) = s; s0t(j)(i) = s
     }
+    // D, the neighborhood normalization of every node pair in both directions
+    val dn = math.pow(2.0, math.abs(u - v).toDouble)
     if (atLeast > 0.0) {
-      val bound = (upperBound(ga, gb, s0) + upperBound(gb, ga, s0t)) / 2.0
+      val bound = (upperBound(ga, gb, s0, dn) + upperBound(gb, ga, s0t, dn)) / 2.0
       if (bound < atLeast - BoundSlack) return bound
     }
     val scale = math.max(ga.featureScale, gb.featureScale)
-    (flood(ga, gb, s0, scale, p) + flood(gb, ga, s0t, scale, p)) / 2.0
+    (flood(ga, gb, s0, dn, scale, p) + flood(gb, ga, s0t, dn, scale, p)) / 2.0
   }
-
-  /** 2^|deg(i) − deg(j)|, the neighborhood normalization of node pair (i, j). */
-  private def degNorm(a: LayoutGraph, i: Int, b: LayoutGraph, j: Int): Double =
-    math.pow(2.0, math.abs(a.degree(i) - b.degree(j)).toDouble)
 
   /** Maximum-weight matching total over max(rows, cols). */
   private def matchingAverage(w: Array[Array[Double]]): Double = {
@@ -103,14 +97,15 @@ object SimilarityFlooding {
     total / math.max(w.length, w(0).length)
   }
 
-  /** One flooding direction sim(a, b) from σ⁰ = `s0` (|a| × |b|).
+  /** One flooding direction sim(a, b) from σ⁰ = `s0` (|a| × |b|) and the
+    * neighborhood normalization `dn`.
     *
     * Φ is 0 across directions, and a zero contribution never beats the
     * running maximum, so for a neighbor m of i only the partners n of j
     * whose edge has the direction of (i, m) are scanned.
     */
   private def flood(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]],
-                    scale: Double, p: Params): Double = {
+                    dn: Double, scale: Double, p: Params): Double = {
     val u = a.size; val v = b.size
     var sigma = s0.map(_.clone())
     var next  = Array.ofDim[Double](u, v)
@@ -124,14 +119,12 @@ object SimilarityFlooding {
         while (j < v) {
           var acc = s0(i)(j)
           var weight = 1.0
-          val dn = degNorm(a, i, b, j)
           var m = 0
           while (m < u) {
-            val e = i * u + m
-            val dir = a.dirs(e)
-            if (dir >= 0) {
+            if (m != i) {
+              val e = i * u + m
               val ma = a.mags(e); val da = a.dists(e)
-              val ns = b.partners(j * Alignment.Count + dir)
+              val ns = b.partners(j * Alignment.Count + a.dirs(e))
               val sm = sigma(m)
               var bestN = -1; var bestPhi = 0.0; var bestContrib = 0.0
               var k = 0
@@ -168,19 +161,19 @@ object SimilarityFlooding {
   /** Upper bound on one flooding direction sim(a, b), without flooding.
     *
     * Let K(i, j) be the number of i's neighbors whose edge direction occurs
-    * among j's edges and D = 2^|deg(i) − deg(j)|. Only those neighbors can
+    * among j's edges and D = 2^||Ga| − |Gb|| = `dn`. Only those neighbors can
     * contribute, each with Φ ≤ 1, so an update adds weight W ≤ K/D; with
     * σ ≤ 1, σ'(i, j) ≤ (σ⁰ + W)/(1 + W), which grows with W for σ⁰ ≤ 1.
     * Hence every iterate is at most B(i, j) = max(σ⁰, (σ⁰ + K/D)/(1 + K/D)),
     * and the matching average over B bounds the score. As B ≤ 1, the bound
     * never exceeds the node-count bound `LayoutGraph.sizeBound`.
     */
-  private def upperBound(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]]): Double = {
+  private def upperBound(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]], dn: Double): Double = {
     val w = Array.tabulate(a.size, b.size) { (i, j) =>
       var k = 0
       for (d <- 0 until Alignment.Count if b.partners(j * Alignment.Count + d).nonEmpty)
         k += a.partners(i * Alignment.Count + d).length
-      val kd = k / degNorm(a, i, b, j)
+      val kd = k / dn
       math.max(s0(i)(j), (s0(i)(j) + kd) / (1.0 + kd))
     }
     matchingAverage(w)

@@ -115,22 +115,6 @@ object Corpora {
       }
     }
 
-  /** Long-format cells DataFrame (fileId, templateId, row, col, value,
-    * role) for SQL-style corpus statistics cross-checked by the DuckDB
-    * oracle.
-    */
-  def cellsDF(spark: SparkSession, files: Vector[GoldFile]): DataFrame = {
-    import spark.implicits._
-    val rows = files.flatMap { f =>
-      for {
-        y <- f.rows.indices
-        x <- f.rows(y).indices
-        if f.rows(y)(x).nonEmpty
-      } yield (f.fileId, f.templateId, y, x, f.rows(y)(x), f.roles(y)(x).toInt)
-    }
-    rows.toDF("file_id", "template_id", "row", "col", "value", "role")
-  }
-
   /** Per-file summary DataFrame (fileId, templateId, regions, outlier). */
   def filesDF(spark: SparkSession, files: Vector[GoldFile]): DataFrame = {
     import spark.implicits._

@@ -78,9 +78,7 @@ object SpreadsheetGen {
   final case class Band(specs: Vector[RegionSpec], colGap: Int)
 
   /** A template: its bands and the (file-jittered) gaps between them. */
-  final case class TemplateSpec(templateId: String, bands: Vector[Band], bandGap: Int, xOffset: Int) {
-    def regionCount: Int = bands.map(_.specs.length).sum
-  }
+  final case class TemplateSpec(templateId: String, bands: Vector[Band], bandGap: Int, xOffset: Int)
 
   /** Gold annotation of one region instance. */
   final case class GoldRegion(kind: String, box: Rect)

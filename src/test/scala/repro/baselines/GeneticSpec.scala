@@ -3,6 +3,7 @@ package repro.baselines
 import repro.SparkSpec
 import repro.baselines.genetic.GeneticTableRec
 import repro.baselines.genetic.GeneticTableRec.Config
+import repro.core.CellOps._
 import repro.core.Geometry.Rect
 import repro.corpus.{Corpora, SpreadsheetGen}
 import repro.eval.Metrics

@@ -1,0 +1,21 @@
+package repro.core
+
+import repro.core.Geometry.Rect
+
+/** Cell-by-cell enumerations for the tests' coverage checks; the pipeline
+  * reads the type image and box corners instead.
+  */
+object CellOps {
+
+  implicit class RectCells(private val r: Rect) extends AnyVal {
+    def contains(x: Int, y: Int): Boolean = x >= r.x0 && x <= r.x1 && y >= r.y0 && y <= r.y1
+    /** The covered cells, row-major. */
+    def cells: IndexedSeq[(Int, Int)] = for (y <- r.y0 to r.y1; x <- r.x0 to r.x1) yield (x, y)
+  }
+
+  implicit class GridCells(private val g: FileGrid) extends AnyVal {
+    /** All non-empty cell coordinates, row-major. */
+    def nonEmptyCells: IndexedSeq[(Int, Int)] =
+      for (y <- 0 until g.height; x <- 0 until g.width if !g.image.isEmpty(x, y)) yield (x, y)
+  }
+}

@@ -73,7 +73,7 @@ class CellsSpec extends AnyFunSuite {
   }
   test("codes are stable and dense") {
     assert(all.map(_.code) == (0 until all.size))
-    assert(all.forall(t => byCode(t.code) == t))
+    assert(all.forall(t => all(t.code) == t))
   }
   test("same-fundamental colors are closer than cross-fundamental (histogram intuition)") {
     def dist(a: (Int, Int, Int), b: (Int, Int, Int)): Double =

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CellOps._
 import repro.core.Geometry._
 
 /** Spatial relationships of Definitions 3–8. */

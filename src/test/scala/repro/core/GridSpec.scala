@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CellOps._
 
 /** CSV parsing and grid normalization (paper §4.1). */
 class GridSpec extends AnyFunSuite {

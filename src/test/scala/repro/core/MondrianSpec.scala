@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CellOps._
 import repro.core.Geometry.Rect
 import repro.eval.Metrics
 

@@ -1,22 +1,21 @@
 package repro.core
 
-import repro.core.Geometry.{Alignment, SpatialRel}
+import repro.core.Geometry.SpatialRel
 
 /** Reference similarity flooding for the tests: the straightforward
   * formulation `SimilarityFlooding` had before it became an array kernel
-  * with an early exit. It recounts degrees, rebuilds Φ from `Option`
-  * edges, computes σ⁰ per direction and scans every partner in every
-  * iteration. The kernel must return the same doubles.
+  * with an early exit. It computes every edge from the region boxes
+  * instead of reading the graph's edge table, recounts degrees, rebuilds Φ
+  * from `Option` edges, computes σ⁰ per direction and scans every partner
+  * in every iteration. The kernel must return the same doubles.
   */
 object ReferenceFlooding {
 
-  /** The spatial relationship of regions i and j of `g`, if they share an
-    * edge.
+  /** The spatial relationship of regions i and j of `g`; none for i = j,
+    * since nodes have no self edges.
     */
-  def edge(g: LayoutGraph, i: Int, j: Int): Option[SpatialRel] = {
-    val k = i * g.size + j
-    if (g.dirs(k) < 0) None else Some(SpatialRel(Alignment.values(g.dirs(k)), g.mags(k).toLong, g.dists(k)))
-  }
+  def edge(g: LayoutGraph, i: Int, j: Int): Option[SpatialRel] =
+    if (i == j) None else Some(Geometry.spatialRel(g.regions(i).box, g.regions(j).box))
 
   def edgeSimilarity(a: Option[SpatialRel], b: Option[SpatialRel], scale: Double): Double = (a, b) match {
     case (Some(ea), Some(eb)) if ea.direction == eb.direction =>

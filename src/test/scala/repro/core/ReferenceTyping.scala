@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.CellOps._
 import repro.core.Geometry.Rect
 
 /** Reference cell-by-cell versions of the stages that read the type image,

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CellOps._
 import repro.core.Geometry.Rect
 
 /** Connected components and rectilinear partitioning (paper §4.1, Fig 4–5). */

@@ -130,13 +130,33 @@ class SimilarityFloodingSpec extends AnyFunSuite {
 
   // --- layout graph construction
   test("layout graph is complete with labeled edges and no self loops") {
-    val g = grid("1|2", "3|4", " | ", "a|b")
-    val l = layoutOf("a", g, Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))
-    assert(l.size == 2)
-    def edge(i: Int, j: Int) = ReferenceFlooding.edge(l, i, j)
-    assert(edge(0, 0).isEmpty && edge(1, 1).isEmpty)
-    assert(edge(0, 1).contains(Geometry.spatialRel(Rect(0, 0, 1, 1), Rect(0, 3, 1, 3))))
-    assert(edge(1, 0).contains(Geometry.spatialRel(Rect(0, 3, 1, 3), Rect(0, 0, 1, 1))))
+    val g = grid("1|2|x", "3|4| ", " | | ", "a|b| ")
+    val boxes = Vector(Rect(0, 0, 1, 1), Rect(0, 3, 1, 3), Rect(2, 0, 2, 0), Rect(1, 1, 2, 3))
+    val l = layoutOf("a", g, boxes: _*)
+    val n = boxes.size
+    assert(l.size == n)
+    for (i <- 0 until n; j <- 0 until n if i != j) {
+      val r = Geometry.spatialRel(boxes(i), boxes(j))
+      val k = i * n + j
+      assert((l.dirs(k), l.mags(k), l.dists(k)) == ((r.direction.code, r.magnitude.toDouble, r.distance)), s"edge ($i, $j)")
+    }
+    for (i <- 0 until n; d <- Alignment.values)
+      assert(l.partners(i * Alignment.Count + d.code).toSeq ==
+             (0 until n).filter(j => j != i && Geometry.alignment(boxes(i), boxes(j)) == d), s"partners of $i in $d")
+  }
+
+  test("zero feature scale: two regions touching at a corner") {
+    // N edges of magnitude 0 and distance 0 in both layouts, so Φ = 1
+    val l1 = layoutOf("a", grid("1| ", " |x"), Rect(0, 0, 0, 0), Rect(1, 1, 1, 1))
+    val l2 = layoutOf("b", grid(" |2", "y| "), Rect(1, 0, 1, 0), Rect(0, 1, 0, 1))
+    assert(l1.featureScale == 0.0 && l2.featureScale == 0.0)
+    def bits(x: Double) = java.lang.Double.doubleToLongBits(x)
+    for ((a, b) <- Seq(l1 -> l1, l1 -> l2, l2 -> l1)) {
+      val ref = ReferenceFlooding.similarity(a, b)
+      assert(bits(SimilarityFlooding.similarity(a, b)) == bits(ref))
+      assert(bits(SimilarityFlooding.similarity(a, b, atLeast = ref)) == bits(ref))
+    }
+    assert(math.abs(SimilarityFlooding.similarity(l1, l1) - 1.0) < 1e-12)
   }
 
   // --- properties of the flooding kernel against the reference formulation
@@ -172,26 +192,7 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     rs <- Gen.listOfN(n, for (b <- genBox; c <- genCounts) yield Region(id, b, Vector(b), c, b.area.toInt))
   } yield rs.toVector
 
-  /** Missing edges and few feature values, so that Φ ties often. */
-  private val genRel: Gen[Option[SpatialRel]] = Gen.frequency(
-    1 -> Gen.const(None),
-    4 -> (for {
-      d    <- Gen.oneOf(Alignment.values)
-      m    <- Gen.choose(0L, 3L)
-      dist <- Gen.oneOf(0.0, 1.0, 2.0, math.sqrt(2.0))
-    } yield Some(SpatialRel(d, m, dist))))
-
-  /** Geometric layouts, hand-built ones with missing edges, and ones whose
-    * edge features are all 0 (zero feature scale).
-    */
-  private def genLayout(id: String): Gen[LayoutGraph] = genRegions(id).flatMap { rs =>
-    val n = rs.size
-    Gen.oneOf(
-      Gen.const(LayoutGraph.build(id, rs)),
-      Gen.listOfN(n * n, genRel).map(es => LayoutGraph(id, rs, (i, j) => es(i * n + j))),
-      Gen.listOfN(n * n, Gen.oneOf(Alignment.values))
-        .map(ds => LayoutGraph(id, rs, (i, j) => Some(SpatialRel(ds(i * n + j), 0L, 0.0)))))
-  }
+  private def genLayout(id: String): Gen[LayoutGraph] = genRegions(id).map(LayoutGraph.build(id, _))
 
   /** A layout of the same template: one type count bumped, maybe a region dropped. */
   private def genVariant(a: LayoutGraph): Gen[LayoutGraph] = for {
@@ -202,7 +203,7 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val r = a.regions(k)
     val c = r.counts.clone(); c(t) += 1
     val rs = a.regions.updated(k, r.copy(fileId = "b", counts = c))
-    LayoutGraph("b", if (drop) rs.init else rs, ReferenceFlooding.edge(a, _, _))
+    LayoutGraph.build("b", if (drop) rs.init else rs)
   }
 
   private val genPair: Gen[(LayoutGraph, LayoutGraph)] = Gen.frequency(
@@ -247,6 +248,15 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     holds(Prop.forAllNoShrink(genPair, genParams) { case ((a, b), p) =>
       val ab = SimilarityFlooding.similarity(a, b, p)
       (ab == SimilarityFlooding.similarity(b, a, p) && ab >= 0.0 && ab <= 1.0) :| s"$ab"
+    })
+  }
+
+  test("property: similarity does not depend on region order") {
+    holds(Prop.forAllNoShrink(genPair, genParams, Gen.long) { case ((a, b), p, seed) =>
+      val shuffled = LayoutGraph.build(a.fileId, new scala.util.Random(seed).shuffle(a.regions))
+      val ab = SimilarityFlooding.similarity(a, b, p)
+      val sb = SimilarityFlooding.similarity(shuffled, b, p)
+      (math.abs(ab - sb) < 1e-9) :| s"$ab vs $sb after shuffling ${a.regions.map(_.box)}"
     })
   }
 

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CellOps._
 import repro.core.Geometry.Rect
 import repro.eval.Metrics
 

@@ -1,11 +1,28 @@
 package repro.corpus
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.core.CellOps._
 import repro.corpus.SpreadsheetGen._
 
 /** Corpus plans, Spark generation, and DuckDB-oracle-checked statistics. */
 class CorporaSpec extends SparkSpec {
+
+  /** Long-format cells DataFrame (fileId, templateId, row, col, value,
+    * role) of the non-empty cells, for statistics cross-checked by the
+    * DuckDB oracle.
+    */
+  private def cellsDF(files: Vector[GoldFile]): DataFrame = {
+    import spark.implicits._
+    files.flatMap { f =>
+      for {
+        y <- f.rows.indices
+        x <- f.rows(y).indices
+        if f.rows(y)(x).nonEmpty
+      } yield (f.fileId, f.templateId, y, x, f.rows(y)(x), f.roles(y)(x).toInt)
+    }.toDF("file_id", "template_id", "row", "col", "value", "role")
+  }
 
   // ---- plan invariants (paper Table 2 marginals by construction)
   test("deco plan: 854 files / 750 templates") {
@@ -99,18 +116,18 @@ class CorporaSpec extends SparkSpec {
       "files" -> df)
   }
   test("cellsDF role distribution matches DuckDB") {
-    val df = Corpora.cellsDF(spark, mini.take(20))
+    val df = cellsDF(mini.take(20))
     val agg = df.groupBy("role").agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(agg,
       "SELECT role, COUNT(*) AS n FROM cells GROUP BY role",
       "cells" -> df)
   }
   test("cellsDF never contains empty values") {
-    val df = Corpora.cellsDF(spark, mini.take(20))
+    val df = cellsDF(mini.take(20))
     assert(df.filter(length(trim(col("value"))) === 0).count() == 0)
   }
   test("cells per file match the grids") {
-    val df = Corpora.cellsDF(spark, mini.take(10))
+    val df = cellsDF(mini.take(10))
     val counts = df.groupBy("file_id").agg(count(lit(1)).as("n"))
       .collect().map(r => r.getString(0) -> r.getLong(1)).toMap
     for (f <- mini.take(10))

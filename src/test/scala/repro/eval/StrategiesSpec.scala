@@ -3,6 +3,7 @@ package repro.eval
 import repro.SparkSpec
 import repro.corpus.{Corpora, SpreadsheetGen}
 import repro.core.Mondrian
+import repro.core.CellOps._
 
 /** The seven Table-4 region-detection strategies, smoke-tested end to end. */
 class StrategiesSpec extends SparkSpec {
