@@ -1,7 +1,6 @@
 package repro.baselines.genetic
 
 import scala.util.Random
-import org.apache.spark.sql.SparkSession
 import repro.core.{FileGrid, Geometry, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.{GoldFile, Role}
@@ -20,14 +19,16 @@ import repro.corpus.SpreadsheetGen.{GoldFile, Role}
   *     header-topped regions.
   *
   * Trained and evaluated with k-fold cross-validation per dataset, as in
-  * the paper's setup.
+  * the paper's setup. The classifier runs on the driver; `recognize` is a
+  * pure per-file function that `Strategies.detect` maps over the files.
   */
 object GeneticTableRec {
 
-  /** Baseline variant: XLS sees synthetic style features, CSV does not. */
-  final case class Config(useStyle: Boolean, folds: Int = 10, seed: Long = 11,
-                          population: Int = 24, generations: Int = 30,
-                          maxCellsPerFold: Int = 40000)
+  private val Folds = 10
+  private val Seed = 11L
+  private val Population = 24
+  private val Generations = 30
+  private val MaxCellsPerFold = 40000
 
   // ----------------------------------------------------------- features
 
@@ -41,7 +42,7 @@ object GeneticTableRec {
       if (v.isEmpty) 0.0 else digits.toDouble / v.length,
       if (v.isEmpty) 0.0 else letters.toDouble / v.length,
       if (letters == 0) 0.0 else v.count(_.isUpper).toDouble / letters,
-      f.grid.typeCode(x, y).toDouble,
+      f.grid.image.code(x, y).toDouble,
       x.toDouble,
       y.toDouble,
       if (y == 0) 1.0 else 0.0,
@@ -60,40 +61,41 @@ object GeneticTableRec {
 
   /** Cross-validated cell classification: returns, per file, the predicted
     * role of every non-empty cell. Folds are split by file so that a file
-    * is never classified by a forest that saw it.
+    * is never classified by a forest that saw it. The XLS variant uses the
+    * style feature (`useStyle`), the CSV variant does not.
     */
-  def classifyCells(files: Vector[GoldFile], cfg: Config): Map[String, Map[(Int, Int), Int]] = {
+  def classifyCells(files: Vector[GoldFile], useStyle: Boolean): Map[String, Map[(Int, Int), Int]] = {
     import scala.concurrent.{Await, Future}
     import scala.concurrent.ExecutionContext.Implicits.global
     import scala.concurrent.duration.Duration
-    val rnd = new Random(cfg.seed)
+    val rnd = new Random(Seed)
     val shuffled = rnd.shuffle(files)
-    val folds = shuffled.zipWithIndex.groupBy(_._2 % cfg.folds).view.mapValues(_.map(_._1)).toMap
+    val folds = shuffled.zipWithIndex.groupBy(_._2 % Folds).view.mapValues(_.map(_._1)).toMap
     // folds are independent: train and predict them concurrently
-    val futures = (0 until cfg.folds).map { fold =>
+    val futures = (0 until Folds).map { fold =>
       Future {
         val test = folds.getOrElse(fold, Vector.empty)
         if (test.isEmpty) Vector.empty[(String, Map[(Int, Int), Int])]
         else {
-          val train = (0 until cfg.folds).filter(_ != fold).flatMap(folds.getOrElse(_, Vector.empty))
+          val train = (0 until Folds).filter(_ != fold).flatMap(folds.getOrElse(_, Vector.empty))
           val insts = train.flatMap { f =>
             for {
               y <- f.rows.indices
               x <- f.rows(y).indices
               if f.rows(y)(x).nonEmpty
-            } yield DecisionForest.Instance(features(f, x, y, cfg.useStyle), labelOf(f.roles(y)(x)))
+            } yield DecisionForest.Instance(features(f, x, y, useStyle), labelOf(f.roles(y)(x)))
           }
           val sample =
-            if (insts.size <= cfg.maxCellsPerFold) insts.toIndexedSeq
-            else { val r2 = new Random(cfg.seed + fold); IndexedSeq.fill(cfg.maxCellsPerFold)(insts(r2.nextInt(insts.size))) }
+            if (insts.size <= MaxCellsPerFold) insts.toIndexedSeq
+            else { val r2 = new Random(Seed + fold); IndexedSeq.fill(MaxCellsPerFold)(insts(r2.nextInt(insts.size))) }
           val forest = DecisionForest.train(sample, NClasses,
-            DecisionForest.Params(seed = cfg.seed * 131 + fold))
+            DecisionForest.Params(seed = Seed * 131 + fold))
           test.map { f =>
             f.fileId -> (for {
               y <- f.rows.indices
               x <- f.rows(y).indices
               if f.rows(y)(x).nonEmpty
-            } yield (x, y) -> forest.predict(features(f, x, y, cfg.useStyle))).toMap
+            } yield (x, y) -> forest.predict(features(f, x, y, useStyle))).toMap
           }
         }
       }
@@ -163,13 +165,15 @@ object GeneticTableRec {
     score - groupPenalty * groups.size
   }
 
-  /** Genetic search over edge cut sets for one file. */
-  def recognize(grid: FileGrid, labels: Map[(Int, Int), Int], cfg: Config, runSeed: Long): Vector[Rect] = {
+  /** Genetic search over edge cut sets for one file; the search is seeded
+    * from the run seed and the file id.
+    */
+  def recognize(grid: FileGrid, labels: Map[(Int, Int), Int], runSeed: Long): Vector[Rect] = {
     val vs = vertices(grid, labels)
     if (vs.isEmpty) return Vector.empty
     val edges = candidateEdges(vs)
     if (edges.isEmpty) return vs.map(_.box)
-    val rnd = new Random(runSeed)
+    val rnd = new Random(runSeed * 1013904223L + grid.fileId.hashCode)
 
     def groupsOf(genome: Array[Boolean]): Vector[Vector[Int]] = {
       val sets = new UnionFind(vs.length)
@@ -178,14 +182,14 @@ object GeneticTableRec {
     }
     def eval(genome: Array[Boolean]): Double = fitness(grid, vs, groupsOf(genome))
 
-    var pop = Vector.fill(cfg.population)(Array.fill(edges.length)(rnd.nextDouble() < 0.7))
+    var pop = Vector.fill(Population)(Array.fill(edges.length)(rnd.nextDouble() < 0.7))
     var scores = pop.map(eval)
-    for (_ <- 0 until cfg.generations) {
+    for (_ <- 0 until Generations) {
       val next = scala.collection.mutable.ArrayBuffer.empty[Array[Boolean]]
       // elitism: keep the two best
       val order = scores.zipWithIndex.sortBy(-_._1).map(_._2)
       next += pop(order(0)).clone(); next += pop(order(1)).clone()
-      while (next.size < cfg.population) {
+      while (next.size < Population) {
         def pick(): Array[Boolean] = { // tournament of 3
           val c = Vector.fill(3)(rnd.nextInt(pop.size))
           pop(c.maxBy(scores))
@@ -200,21 +204,5 @@ object GeneticTableRec {
     }
     val best = pop(scores.indices.maxBy(scores))
     groupsOf(best).map(g => Geometry.boundary(g.map(vs(_).box)))
-  }
-
-  /** Full baseline over a corpus: CV cell classification, then per-file
-    * genetic recognition parallelized on Spark.
-    */
-  def detect(spark: SparkSession, files: Vector[GoldFile], cfg: Config, runSeed: Long = 0): Map[String, Vector[Rect]] = {
-    val labels = classifyCells(files, cfg)
-    val bc = spark.sparkContext.broadcast(labels)
-    spark.sparkContext
-      .parallelize(files, math.min(files.size, spark.sparkContext.defaultParallelism * 4))
-      .map { f =>
-        f.fileId -> recognize(f.grid, bc.value.getOrElse(f.fileId, Map.empty), cfg,
-          runSeed * 1013904223L + f.fileId.hashCode)
-      }
-      .collect()
-      .toMap
   }
 }

@@ -1,7 +1,6 @@
 package repro.baselines.tablesense
 
 import scala.util.Random
-import org.apache.spark.sql.SparkSession
 import repro.core.{Cells, FileGrid, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.GoldFile
@@ -27,16 +26,22 @@ import repro.eval.Metrics
   *  - it is trained on the *other* corpus (cross-dataset, as in §5.2) and
   *    is non-deterministic across runs through its initialization and
   *    sample-order seeds.
+  *
+  * Training runs on the driver; `detectFile` is a pure per-file function
+  * that `Strategies.detect` maps over the files.
   */
 object TableSenseSim {
 
-  /** `maxDetections` models the architecture's bounded region-of-interest
-    * budget: only the highest-scoring proposals survive, so files with many
-    * regions lose some entirely — the dominant error mode the paper reports
-    * for this baseline (48.81% / 32.92% regions completely missed).
+  private val Epochs = 12
+  private val Lr = 0.1
+  private val Threshold = 0.5
+  private val NmsIoU = 0.3
+  /** The architecture's bounded region-of-interest budget: only the
+    * highest-scoring proposals survive, so files with many regions lose some
+    * entirely — the dominant error mode the paper reports for this baseline
+    * (48.81% / 32.92% regions completely missed).
     */
-  final case class Config(epochs: Int = 12, lr: Double = 0.1, threshold: Double = 0.5,
-                          nmsIoU: Double = 0.3, maxDetections: Int = 2)
+  private val MaxDetections = 2
 
   /** Pooled feature vector of a candidate box (plus bias term). */
   def boxFeatures(grid: FileGrid, box: Rect): Array[Double] = {
@@ -86,9 +91,9 @@ object TableSenseSim {
 
   /** Trains the proposal scorer on a corpus: positives are proposals with
     * IoU ≥ 0.5 against some gold region, negatives the rest. Plain
-    * logistic-regression SGD from seeded random init.
+    * logistic-regression SGD from a random init seeded with the run seed.
     */
-  def train(files: Vector[GoldFile], cfg: Config, seed: Long): Model = {
+  def train(files: Vector[GoldFile], runSeed: Long): Model = {
     val data = files.flatMap { f =>
       val grid = f.grid
       proposals(grid).map { p =>
@@ -96,15 +101,15 @@ object TableSenseSim {
         (boxFeatures(grid, p), if (isPos) 1.0 else 0.0)
       }
     }
-    val rnd = new Random(seed)
+    val rnd = new Random(97L + runSeed)
     val d = data.head._1.length
     val w = Array.fill(d)((rnd.nextDouble() - 0.5) * 0.1)
-    for (_ <- 0 until cfg.epochs; (feat, y) <- rnd.shuffle(data)) {
+    for (_ <- 0 until Epochs; (feat, y) <- rnd.shuffle(data)) {
       var z = 0.0
       for (i <- 0 until d) z += w(i) * feat(i)
       val pred = 1.0 / (1.0 + math.exp(-z))
       val g = pred - y
-      for (i <- 0 until d) w(i) -= cfg.lr * g * feat(i)
+      for (i <- 0 until d) w(i) -= Lr * g * feat(i)
     }
     Model(w)
   }
@@ -119,33 +124,19 @@ object TableSenseSim {
     * those above threshold. Areas covered only by rejected proposals are
     * missed — the Mask R-CNN trait the paper highlights.
     */
-  def detectFile(grid: FileGrid, m: Model, cfg: Config): Vector[Rect] = {
+  def detectFile(grid: FileGrid, m: Model): Vector[Rect] = {
     val scored = proposals(grid).map(p => (p, score(m, boxFeatures(grid, p))))
-      .filter(_._2 >= cfg.threshold)
+      .filter(_._2 >= Threshold)
       .sortBy(-_._2)
     val kept = scala.collection.mutable.ArrayBuffer.empty[Rect]
-    for ((p, _) <- scored if kept.size < cfg.maxDetections) {
+    for ((p, _) <- scored if kept.size < MaxDetections) {
       val overlaps = kept.exists { k =>
         val inter = math.max(0, math.min(p.x1, k.x1) - math.max(p.x0, k.x0) + 1).toLong *
           math.max(0, math.min(p.y1, k.y1) - math.max(p.y0, k.y0) + 1)
-        inter.toDouble / (p.area + k.area - inter) >= cfg.nmsIoU
+        inter.toDouble / (p.area + k.area - inter) >= NmsIoU
       }
       if (!overlaps) kept += p
     }
     kept.toVector
-  }
-
-  /** Cross-dataset detection (train on `trainFiles`, detect on `testFiles`),
-    * per-file inference parallelized on Spark.
-    */
-  def detect(spark: SparkSession, trainFiles: Vector[GoldFile], testFiles: Vector[GoldFile],
-             cfg: Config = Config(), runSeed: Long = 0): Map[String, Vector[Rect]] = {
-    val model = train(trainFiles, cfg, seed = 97L + runSeed)
-    val bc = spark.sparkContext.broadcast(model)
-    spark.sparkContext
-      .parallelize(testFiles, math.max(1, math.min(testFiles.size, spark.sparkContext.defaultParallelism * 4)))
-      .map(f => f.fileId -> detectFile(f.grid, bc.value, cfg))
-      .collect()
-      .toMap
   }
 }

@@ -80,6 +80,4 @@ object Cells {
       }
     }
   }
-
-  def isEmpty(raw: String): Boolean = synType(raw) == Empty
 }

@@ -16,15 +16,10 @@ final case class FileGrid(fileId: String, rows: Array[Array[String]]) {
   /** Grid width (number of columns, N in the paper). */
   def width: Int = if (rows.isEmpty) 0 else rows(0).length
 
-  def cell(x: Int, y: Int): String = rows(y)(x)
-
   /** The file's type image, built on first use; every stage that needs cell
     * types reads it instead of re-typing the raw strings.
     */
   @transient lazy val image: TypeImage = TypeImage(this)
-
-  /** Syntactic-type code of cell (x, y); 0 is Empty. */
-  def typeCode(x: Int, y: Int): Int = image.code(x, y)
 }
 
 object Grid {

@@ -20,9 +20,10 @@ object Strategies {
   def paramsFor(dataset: String): Clustering.Params =
     if (dataset.startsWith("deco")) Mondrian.DecoParams else Mondrian.FusteParams
 
-  /** Runs one strategy over a corpus; detection is parallelized per file on
-    * Spark. For "Tablesense", `other` is the training corpus (cross-dataset
-    * setup); `runSeed` feeds the non-deterministic ML baselines.
+  /** Runs one strategy over a corpus; detection is one Spark map of a
+    * per-file function. The ML baselines train on the driver first: Genetic
+    * cross-validates its cell classifier on `files`, Tablesense trains on
+    * `other` (cross-dataset setup); `runSeed` feeds both.
     */
   def detect(spark: SparkSession, strategy: String, dataset: String,
              files: Vector[GoldFile], other: Vector[GoldFile],
@@ -53,15 +54,16 @@ object Strategies {
         }
       case "Connected Components" =>
         parallel(g => Mondrian.detectRegionsCC(g.grid))
-      case "Genetic (XLS)" =>
-        val boxes = GeneticTableRec.detect(spark, files, GeneticTableRec.Config(useStyle = true), runSeed)
-        parallel(g => Mondrian.regionsFromBoxes(g.grid, boxes.getOrElse(g.fileId, Vector.empty)))
-      case "Genetic (CSV)" =>
-        val boxes = GeneticTableRec.detect(spark, files, GeneticTableRec.Config(useStyle = false), runSeed)
-        parallel(g => Mondrian.regionsFromBoxes(g.grid, boxes.getOrElse(g.fileId, Vector.empty)))
+      case "Genetic (XLS)" | "Genetic (CSV)" =>
+        val labels = spark.sparkContext.broadcast(
+          GeneticTableRec.classifyCells(files, useStyle = strategy == "Genetic (XLS)"))
+        parallel { g =>
+          val boxes = GeneticTableRec.recognize(g.grid, labels.value.getOrElse(g.fileId, Map.empty), runSeed)
+          Mondrian.regionsFromBoxes(g.grid, boxes)
+        }
       case "Tablesense" =>
-        val boxes = TableSenseSim.detect(spark, other, files, runSeed = runSeed)
-        parallel(g => Mondrian.regionsFromBoxes(g.grid, boxes.getOrElse(g.fileId, Vector.empty)))
+        val model = TableSenseSim.train(other, runSeed)
+        parallel(g => Mondrian.regionsFromBoxes(g.grid, TableSenseSim.detectFile(g.grid, model)))
       case s => throw new IllegalArgumentException(s"unknown strategy $s")
     }
   }

@@ -2,11 +2,10 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.baselines.genetic.GeneticTableRec
-import repro.baselines.genetic.GeneticTableRec.Config
 import repro.core.CellOps._
 import repro.core.Geometry.Rect
 import repro.corpus.{Corpora, SpreadsheetGen}
-import repro.eval.Metrics
+import repro.eval.{Metrics, Strategies}
 
 /** Genetic-based table recognition baseline (Koci et al.). */
 class GeneticSpec extends SparkSpec {
@@ -16,7 +15,8 @@ class GeneticSpec extends SparkSpec {
     Corpora.TemplatePlan("gen-t1", SpreadsheetGen.FewRegions, 4),
     Corpora.TemplatePlan("gen-t2", SpreadsheetGen.One, 4)))
 
-  private val cfg = Config(useStyle = true, folds = 3, population = 10, generations = 8)
+  private def detect(files: Vector[SpreadsheetGen.GoldFile], runSeed: Long): Map[String, Vector[Rect]] =
+    Strategies.detect(spark, "Genetic (XLS)", "gen", files, Vector.empty, runSeed).view.mapValues(_.map(_.box)).toMap
 
   test("features include the style bit only in the XLS variant") {
     val f = files.head
@@ -26,14 +26,14 @@ class GeneticSpec extends SparkSpec {
   }
 
   test("cross-validated classification covers every file and non-empty cell") {
-    val labels = GeneticTableRec.classifyCells(files, cfg)
+    val labels = GeneticTableRec.classifyCells(files, useStyle = true)
     assert(labels.keySet == files.map(_.fileId).toSet)
     for (f <- files)
       assert(labels(f.fileId).keySet == f.grid.nonEmptyCells.toSet)
   }
 
   test("XLS cell classification accuracy is high (bold is decisive)") {
-    val labels = GeneticTableRec.classifyCells(files, cfg)
+    val labels = GeneticTableRec.classifyCells(files, useStyle = true)
     val scored = for {
       f <- files; ((x, y), pred) <- labels(f.fileId)
     } yield if (pred == GeneticTableRec.labelOf(f.roles(y)(x))) 1 else 0
@@ -43,7 +43,7 @@ class GeneticSpec extends SparkSpec {
 
   test("CSV variant loses accuracy vs XLS (paper's style-feature gap)") {
     def acc(useStyle: Boolean): Double = {
-      val labels = GeneticTableRec.classifyCells(files, cfg.copy(useStyle = useStyle))
+      val labels = GeneticTableRec.classifyCells(files, useStyle)
       val scored = for {
         f <- files; ((x, y), pred) <- labels(f.fileId)
       } yield if (pred == GeneticTableRec.labelOf(f.roles(y)(x))) 1 else 0
@@ -61,15 +61,15 @@ class GeneticSpec extends SparkSpec {
 
   test("genetic recognition returns non-overlapping covering boxes for labeled cells") {
     val f = files.head
-    val labels = GeneticTableRec.classifyCells(files, cfg)(f.fileId)
-    val boxes = GeneticTableRec.recognize(f.grid, labels, cfg, runSeed = 1)
+    val labels = GeneticTableRec.classifyCells(files, useStyle = true)(f.fileId)
+    val boxes = GeneticTableRec.recognize(f.grid, labels, runSeed = 1)
     assert(boxes.nonEmpty)
     for ((x, y) <- f.grid.nonEmptyCells)
       assert(boxes.exists(_.contains(x, y)), s"cell ($x,$y) uncovered")
   }
 
   test("end-to-end detection achieves reasonable IoU against gold") {
-    val det = GeneticTableRec.detect(spark, files, cfg, runSeed = 0)
+    val det = detect(files, runSeed = 0)
     val scores = files.flatMap { f =>
       Metrics.regionScores(f.grid, det(f.fileId), f.regionBoxes).map(_._1)
     }
@@ -78,8 +78,8 @@ class GeneticSpec extends SparkSpec {
   }
 
   test("detection is reproducible for a fixed run seed") {
-    val a = GeneticTableRec.detect(spark, files.take(3), cfg, runSeed = 5)
-    val b = GeneticTableRec.detect(spark, files.take(3), cfg, runSeed = 5)
+    val a = detect(files.take(3), runSeed = 5)
+    val b = detect(files.take(3), runSeed = 5)
     assert(a == b)
   }
 }

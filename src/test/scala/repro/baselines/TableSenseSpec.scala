@@ -3,8 +3,9 @@ package repro.baselines
 import repro.SparkSpec
 import repro.baselines.tablesense.TableSenseSim
 import repro.core.Grid
+import repro.core.Geometry.Rect
 import repro.corpus.{Corpora, SpreadsheetGen}
-import repro.eval.Metrics
+import repro.eval.{Metrics, Strategies}
 
 /** TableSense surrogate baseline (capacity-limited learned detector). */
 class TableSenseSpec extends SparkSpec {
@@ -17,6 +18,9 @@ class TableSenseSpec extends SparkSpec {
     Corpora.TemplatePlan("tste-t0", SpreadsheetGen.FewRegions, 4),
     Corpora.TemplatePlan("tste-t1", SpreadsheetGen.One, 4),
     Corpora.TemplatePlan("tste-t2", SpreadsheetGen.ManyRegions, 2)))
+
+  private def detect(runSeed: Long = 0): Map[String, Vector[Rect]] =
+    Strategies.detect(spark, "Tablesense", "tste", testFiles, trainFiles, runSeed).view.mapValues(_.map(_.box)).toMap
 
   test("well-separated blocks yield individual proposals") {
     val g = Grid.fromRows("f", Seq(Seq("1", "", "", "", "", "2"), Seq("1", "", "", "", "", "")))
@@ -41,17 +45,17 @@ class TableSenseSpec extends SparkSpec {
 
   test("box features have fixed arity with bias first") {
     val g = Grid.fromRows("f", Seq(Seq("1", "a")))
-    val feats = TableSenseSim.boxFeatures(g, repro.core.Geometry.Rect(0, 0, 1, 0))
+    val feats = TableSenseSim.boxFeatures(g, Rect(0, 0, 1, 0))
     assert(feats.length == 9 && feats(0) == 1.0)
   }
 
   test("training produces a model that separates dense regions from noise") {
-    val m = TableSenseSim.train(trainFiles, TableSenseSim.Config(), seed = 1)
+    val m = TableSenseSim.train(trainFiles, runSeed = 1)
     assert(m.w.exists(_ != 0.0))
   }
 
   test("cross-dataset detection finds at least part of the regions") {
-    val det = TableSenseSim.detect(spark, trainFiles, testFiles)
+    val det = detect()
     val ious = testFiles.flatMap { f =>
       Metrics.regionScores(f.grid, det(f.fileId), f.regionBoxes).map(_._1)
     }
@@ -59,7 +63,7 @@ class TableSenseSpec extends SparkSpec {
   }
 
   test("the surrogate misses some regions (Mask R-CNN trait, paper §5.3.3)") {
-    val det = TableSenseSim.detect(spark, trainFiles, testFiles)
+    val det = detect()
     val perRegion = testFiles.flatMap { f =>
       Metrics.regionScores(f.grid, det(f.fileId), f.regionBoxes).map(_._1)
     }
@@ -67,10 +71,10 @@ class TableSenseSpec extends SparkSpec {
   }
 
   test("different run seeds can change the detections (non-determinism across runs)") {
-    val a = TableSenseSim.detect(spark, trainFiles, testFiles, runSeed = 0)
-    val b = TableSenseSim.detect(spark, trainFiles, testFiles, runSeed = 1)
-    val c = TableSenseSim.detect(spark, trainFiles, testFiles, runSeed = 2)
-    assert(a == TableSenseSim.detect(spark, trainFiles, testFiles, runSeed = 0),
+    val a = detect(runSeed = 0)
+    val b = detect(runSeed = 1)
+    val c = detect(runSeed = 2)
+    assert(a == detect(runSeed = 0),
       "same seed must reproduce")
     assert(Seq(b, c).exists(_ != a) || a == b, "smoke: seeds wired through")
   }

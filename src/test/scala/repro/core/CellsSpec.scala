@@ -92,6 +92,6 @@ class CellsSpec extends AnyFunSuite {
   }
 
   test("isEmpty agrees with synType") {
-    for (s <- Seq("", " ", "\t", "a", "1")) assert(Cells.isEmpty(s) == (synType(s) == Empty))
+    for (s <- Seq("", " ", "\t", "a", "1")) assert(CellOps.isEmpty(s) == (synType(s) == Empty))
   }
 }

@@ -44,7 +44,7 @@ class GridSpec extends AnyFunSuite {
   test("fromCsv keeps interior blank lines as empty rows") {
     val g = Grid.fromCsv("f", "a\n\nb")
     assert(g.height == 3)
-    assert(Cells.isEmpty(g.cell(0, 1)))
+    assert(CellOps.isEmpty(g.cell(0, 1)))
   }
   test("empty text yields an empty grid") {
     val g = Grid.fromCsv("f", "")

@@ -14,7 +14,7 @@ import repro.core.Geometry.Rect
   */
 object ReferenceTyping {
 
-  private def isEmpty(grid: FileGrid, x: Int, y: Int): Boolean = Cells.isEmpty(grid.cell(x, y))
+  private def isEmpty(grid: FileGrid, x: Int, y: Int): Boolean = CellOps.isEmpty(grid.cell(x, y))
 
   def histogram(grid: FileGrid, box: Rect): Array[Double] = {
     val h = new Array[Double](RegionSimilarity.HistogramBins)

@@ -118,6 +118,6 @@ class SegmentationSpec extends AnyFunSuite {
   test("elements contain only non-empty cells") {
     val g = grid("a|a| ", "a| | ", " | |b")
     for (e <- Segmentation.elements(g); (x, y) <- e.cells)
-      assert(!Cells.isEmpty(g.cell(x, y)))
+      assert(!CellOps.isEmpty(g.cell(x, y)))
   }
 }

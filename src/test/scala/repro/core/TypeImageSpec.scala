@@ -53,7 +53,7 @@ class TypeImageSpec extends AnyFunSuite {
     holds(Prop.forAllNoShrink(genGrid) { g =>
       (for (y <- 0 until g.height; x <- 0 until g.width)
         yield g.image.code(x, y) == Cells.synType(g.cell(x, y)).code &&
-          g.image.isEmpty(x, y) == Cells.isEmpty(g.cell(x, y))).forall(identity)
+          g.image.isEmpty(x, y) == CellOps.isEmpty(g.cell(x, y))).forall(identity)
     })
   }
 

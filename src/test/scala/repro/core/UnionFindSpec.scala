@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CellOps._
 
 /** The shared union-find and its users' component searches, each against a
   * brute-force search: breadth-first search on edge lists, flood fill on
@@ -68,7 +69,7 @@ class UnionFindSpec extends AnyFunSuite {
   test("grid components equal the reference flood fill's, in order, with row-major cells") {
     holds(Prop.forAll(genGrid) { g =>
       val w = g.width
-      val got = UnionFind.grid(w, g.height, c => !Cells.isEmpty(g.cell(c % w, c / w)))
+      val got = UnionFind.grid(w, g.height, c => !CellOps.isEmpty(g.cell(c % w, c / w)))
       val want = ReferenceTyping.components(g)
       (got.map(_.map(c => (c % w, c / w)).toSet) == want.map(_.cells.toSet)) :| "components" &&
         got.forall(c => c == c.sorted) :| "row-major cells"

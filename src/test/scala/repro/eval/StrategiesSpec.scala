@@ -1,6 +1,8 @@
 package repro.eval
 
 import repro.SparkSpec
+import repro.baselines.genetic.GeneticTableRec
+import repro.baselines.tablesense.TableSenseSim
 import repro.corpus.{Corpora, SpreadsheetGen}
 import repro.core.Mondrian
 import repro.core.CellOps._
@@ -37,9 +39,25 @@ class StrategiesSpec extends SparkSpec {
     }
   }
 
-  for (s <- Seq("Gold Standard", "Static Radius", "Dynamic Radius", "Connected Components")) {
+  for (s <- Strategies.All) {
     test(s"strategy '$s' detects nothing in an empty corpus") {
       assert(Strategies.detect(spark, s, "deco", Vector.empty, fuste).isEmpty)
+    }
+  }
+
+  // Spark's partitioning must not change a baseline's output: the per-file
+  // detectors run sequentially on the driver give the same boxes. A nonzero
+  // run seed pins the per-file seed derivation inside `recognize`.
+  test("Spark baseline detection equals the per-file detectors run on the driver") {
+    val runSeed = 3L
+    val labels = GeneticTableRec.classifyCells(deco, useStyle = true)
+    val model = TableSenseSim.train(fuste, runSeed)
+    val want = Map(
+      "Genetic (XLS)" -> deco.map(f => f.fileId -> GeneticTableRec.recognize(f.grid, labels(f.fileId), runSeed)),
+      "Tablesense" -> deco.map(f => f.fileId -> TableSenseSim.detectFile(f.grid, model)))
+    for ((s, boxes) <- want) {
+      val got = Strategies.detect(spark, s, "deco", deco, fuste, runSeed)
+      assert(got.view.mapValues(_.map(_.box)).toMap == boxes.toMap, s)
     }
   }
 
