@@ -2,7 +2,8 @@ package repro.core
 
 /** The reference candidate scans for the tests: every cross-file region
   * pair scored by the 192-bin [[RegionSimilarity.crossCorrelation]] of the
-  * regions' histograms, as the code did before the closed form; and the
+  * regions' histograms, as the code did before the closed form; inference
+  * file pair by file pair, as the code did before layout classes; and the
   * paper's sequential Algorithm 1 with its growing region index.
   */
 object ReferenceCandidates {
@@ -23,6 +24,27 @@ object ReferenceCandidates {
     regions.indices.iterator.flatMap { i =>
       row(regions, i).collect { case (j, s) if s >= tauRegion => filePair(regions(i), regions(j)) }
     }.toSet
+
+  /** Inference without layout classes, on the driver: files sorted by id,
+    * every file pair (a, b), a < b, with a region pair of closed-form
+    * similarity ≥ τ_r is a candidate, and every candidate that passes the
+    * node-count bound at τ_f is flooded with τ_f as its floor. Edges come in
+    * (a, b) order.
+    */
+  def fileLevel(layouts: Vector[LayoutGraph], p: TemplateInference.Params): TemplateInference.Result = {
+    val files = layouts.sortBy(_.fileId)
+    val cands = for {
+      i <- files.indices; j <- i + 1 until files.length
+      a = files(i); b = files(j)
+      if a.regions.exists(r => b.regions.exists(RegionSimilarity.similarity(r, _) >= p.tauRegion))
+    } yield (a, b)
+    val edges = cands.iterator
+      .filter { case (a, b) => LayoutGraph.sizeBound(a.size, b.size) >= p.tauLayout }
+      .map { case (a, b) => (a.fileId, b.fileId, SimilarityFlooding.similarity(a, b, p.flooding, p.tauLayout)) }
+      .filter(_._3 >= p.tauLayout).toVector
+    TemplateInference.Result(TemplateInference.templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout),
+      edges, cands.size.toLong)
+  }
 
   /** Sequential Algorithm 1 exactly as printed in the paper, for fidelity
     * tests: iterative region index with pruning, then similarity graph and

@@ -245,9 +245,14 @@ class SimilarityFloodingSpec extends AnyFunSuite {
   }
 
   test("property: similarity is symmetric and within [0, 1]") {
+    // infer scores each unordered pair of layout classes in one orientation,
+    // so its path, atLeast = τ_f, must be symmetric bit for bit as well
     holds(Prop.forAllNoShrink(genPair, genParams) { case ((a, b), p) =>
       val ab = SimilarityFlooding.similarity(a, b, p)
-      (ab == SimilarityFlooding.similarity(b, a, p) && ab >= 0.0 && ab <= 1.0) :| s"$ab"
+      (ab >= 0.0 && ab <= 1.0) :| s"$ab" && Prop.all(Seq(0.0, 0.7, 0.99).map { t =>
+        val x = SimilarityFlooding.similarity(a, b, p, t); val y = SimilarityFlooding.similarity(b, a, p, t)
+        (java.lang.Double.doubleToRawLongBits(x) == java.lang.Double.doubleToRawLongBits(y)) :| s"τ=$t: $x vs $y"
+      }: _*)
     })
   }
 

@@ -74,12 +74,55 @@ class TemplateInferenceSpec extends SparkSpec {
       val want = ReferenceCandidates.candidatePairs(regions, 0.75).toVector.sorted
       val got = TemplateInference.candidatePairs(spark, regions, 0.75)
       val shuffled = TemplateInference.candidatePairs(spark, new scala.util.Random(seed).shuffle(regions), 0.75)
-      val counted = TemplateInference.infer(spark, new scala.util.Random(seed + 1).shuffle(layouts)).candidatePairs
+      val inferred = TemplateInference.infer(spark, new scala.util.Random(seed + 1).shuffle(layouts))
+      val edges = TemplateInference.infer(spark, layouts).edges
       (got == want) :| s"got $got, want $want" && (shuffled == got) :| s"shuffled $shuffled" &&
-        (counted == want.size.toLong) :| s"infer counted $counted"
+        (inferred.candidatePairs == want.size.toLong) :| s"infer counted ${inferred.candidatePairs}" &&
+        (inferred.edges == edges) :| s"edges ${inferred.edges} after shuffling the layouts, $edges before"
     }
     val res = org.scalacheck.Test.check(params, prop)
     assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
+
+  /** [[genCorpus]] plus 0–2 copies of each layout under new file ids that
+    * sort before, among and after the originals. A copy keeps every
+    * region's box and type counts (in a new array) and may change its
+    * elements and cell count, which scoring does not read.
+    */
+  private val genCopies: Gen[Vector[LayoutGraph]] = genCorpus.flatMap { layouts =>
+    val copies = layouts.map { g =>
+      Gen.choose(0, 2).flatMap(k => Gen.sequence[Vector[LayoutGraph], LayoutGraph]((0 until k).map { c =>
+        for (prefix <- Gen.oneOf("a", "p", "q"); drift <- Gen.choose(0, 2)) yield {
+          val id = s"$prefix${g.fileId}.$c"
+          LayoutGraph.build(id, g.regions.map(r => r.copy(fileId = id, counts = r.counts.clone(),
+            elements = if (drift == 1) Vector.empty else r.elements, cellCount = r.cellCount + drift)))
+        }
+      }))
+    }
+    Gen.sequence[Vector[Vector[LayoutGraph]], Vector[LayoutGraph]](copies).map(cs => layouts ++ cs.flatten)
+  }
+
+  test("property: infer over layout classes equals the file-level reference") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(150).withInitialSeed(Seed(20216L))
+    var copyEdges = 0
+    def origin(id: String) = if (id.contains('.')) id.drop(1).takeWhile(_ != '.') else id
+    def bits(r: TemplateInference.Result) =
+      r.edges.map { case (a, b, s) => (a, b, java.lang.Double.doubleToRawLongBits(s)) }
+    val prop = Prop.forAllNoShrink(genCopies) { layouts =>
+      Prop.all(Seq(0.7, 0.99).map { tau =>
+        val p = TemplateInference.Params(tauLayout = tau)
+        val got = TemplateInference.infer(spark, layouts, p)
+        val want = ReferenceCandidates.fileLevel(layouts, p)
+        copyEdges += got.edges.count { case (a, b, _) => origin(a) == origin(b) }
+        (bits(got) == bits(want)) :| s"τ_f $tau: edges ${got.edges}, want ${want.edges}" &&
+          (got.candidatePairs == want.candidatePairs) :| s"τ_f $tau: ${got.candidatePairs} candidates" &&
+          (got.templateOf == want.templateOf) :| s"τ_f $tau: templates ${got.templateOf}"
+      }: _*)
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+    assert(copyEdges > 0, "no edge between a layout and its copy")
   }
 
   test("gold regions + high threshold recover the planned templates well") {
