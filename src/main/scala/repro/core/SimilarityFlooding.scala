@@ -66,30 +66,42 @@ object SimilarityFlooding {
     * after `maxIterations`; a direction's score is the maximum-weight
     * matching average over max(|Ga|, |Gb|).
     *
-    * With `atLeast` > 0 the caller only needs scores ≥ `atLeast`: when the
-    * mean of both directions' [[upperBound]]s is below `atLeast` −
-    * [[BoundSlack]], that mean is returned without flooding. It is then an
-    * upper bound below `atLeast`, not the score.
+    * With `atLeast` > 0 the caller only needs scores ≥ `atLeast`, and two
+    * upper bounds on the score are tried before flooding, cheapest first:
+    * the mean of both directions' [[lineBounds]] (O(|Ga|·|Gb|)), then that
+    * of their [[matchingBound]]s (a Hungarian matching each). The first
+    * mean below `atLeast` − [[BoundSlack]] is returned without flooding. It
+    * is then an upper bound below `atLeast`, not the score.
     */
   def similarity(ga: LayoutGraph, gb: LayoutGraph, p: Params = Params(), atLeast: Double = 0.0): Double = {
     val u = ga.size; val v = gb.size
     if (u == 0 || v == 0) return 0.0
+    val s0 = seed(ga, gb)
     // σ⁰ is symmetric bit for bit, so the reverse direction uses its transpose
-    val s0  = Array.ofDim[Double](u, v)
-    val s0t = Array.ofDim[Double](v, u)
-    for (i <- 0 until u; j <- 0 until v) {
-      val s = RegionSimilarity.similarity(ga.regions(i), gb.regions(j))
-      s0(i)(j) = s; s0t(j)(i) = s
-    }
-    // D, the neighborhood normalization of every node pair in both directions
-    val dn = math.pow(2.0, math.abs(u - v).toDouble)
+    lazy val s0t = Array.tabulate(v, u)((j, i) => s0(i)(j))
     if (atLeast > 0.0) {
-      val bound = (upperBound(ga, gb, s0, dn) + upperBound(gb, ga, s0t, dn)) / 2.0
-      if (bound < atLeast - BoundSlack) return bound
+      val (ab, ba) = lineBounds(ga, gb, s0)
+      val line = (ab + ba) / 2.0
+      if (line < atLeast - BoundSlack) return line
+      val matched = (matchingBound(ga, gb, s0) + matchingBound(gb, ga, s0t)) / 2.0
+      if (matched < atLeast - BoundSlack) return matched
     }
     val scale = math.max(ga.featureScale, gb.featureScale)
+    val dn = normalization(ga, gb)
     (flood(ga, gb, s0, dn, scale, p) + flood(gb, ga, s0t, dn, scale, p)) / 2.0
   }
+
+  /** σ⁰(i, j): the region-fingerprint similarity of node i of `a` and node
+    * j of `b`.
+    */
+  private[core] def seed(a: LayoutGraph, b: LayoutGraph): Array[Array[Double]] =
+    Array.tabulate(a.size, b.size)((i, j) => RegionSimilarity.similarity(a.regions(i), b.regions(j)))
+
+  /** D = 2^||Ga| − |Gb||, the neighborhood normalization of every node pair
+    * in both directions.
+    */
+  private def normalization(a: LayoutGraph, b: LayoutGraph): Double =
+    math.pow(2.0, math.abs(a.size - b.size).toDouble)
 
   /** Maximum-weight matching total over max(rows, cols). */
   private def matchingAverage(w: Array[Array[Double]]): Double = {
@@ -158,25 +170,83 @@ object SimilarityFlooding {
     matchingAverage(sigma)
   }
 
-  /** Upper bound on one flooding direction sim(a, b), without flooding.
-    *
-    * Let K(i, j) be the number of i's neighbors whose edge direction occurs
-    * among j's edges and D = 2^||Ga| − |Gb|| = `dn`. Only those neighbors can
-    * contribute, each with Φ ≤ 1, so an update adds weight W ≤ K/D; with
-    * σ ≤ 1, σ'(i, j) ≤ (σ⁰ + W)/(1 + W), which grows with W for σ⁰ ≤ 1.
-    * Hence every iterate is at most B(i, j) = max(σ⁰, (σ⁰ + K/D)/(1 + K/D)),
-    * and the matching average over B bounds the score. As B ≤ 1, the bound
-    * never exceeds the node-count bound `LayoutGraph.sizeBound`.
+  /** K(i, j): the number of neighbors of node i of `a` whose edge direction
+    * occurs among the edges of node j of `b`.
     */
-  private def upperBound(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]], dn: Double): Double = {
-    val w = Array.tabulate(a.size, b.size) { (i, j) =>
-      var k = 0
-      for (d <- 0 until Alignment.Count if b.partners(j * Alignment.Count + d).nonEmpty)
-        k += a.partners(i * Alignment.Count + d).length
-      val kd = k / dn
-      math.max(s0(i)(j), (s0(i)(j) + kd) / (1.0 + kd))
+  private def reach(a: LayoutGraph, i: Int, b: LayoutGraph, j: Int): Int = {
+    var k = 0
+    var d = 0
+    while (d < Alignment.Count) {
+      if (b.partners(j * Alignment.Count + d).length > 0) k += a.partners(i * Alignment.Count + d).length
+      d += 1
     }
-    matchingAverage(w)
+    k
+  }
+
+  /** B(i, j) = max(σ⁰, (σ⁰ + K/D)/(1 + K/D)) for σ⁰(i, j) = `s`,
+    * K(i, j) = `k` and D = `dn`: an upper bound on every flooding iterate
+    * σ(i, j) of one direction.
+    *
+    * Only the K neighbors of i counted by [[reach]] can contribute, each
+    * with Φ ≤ 1, so an update adds weight W ≤ K/D; with σ ≤ 1,
+    * σ'(i, j) ≤ (σ⁰ + W)/(1 + W), which grows with W for σ⁰ ≤ 1. B is in
+    * [0, 1] since σ⁰ is.
+    */
+  private def cap(s: Double, k: Int, dn: Double): Double = {
+    val kd = k / dn
+    math.max(s, (s + kd) / (1.0 + kd))
+  }
+
+  /** Line-maximum bounds on both flooding directions (sim(a, b), sim(b, a)),
+    * from σ⁰ = `s0` (|a| × |b|), in one pass over the node pairs.
+    *
+    * The B of a direction are ≥ 0 and bound every iterate (see [[cap]]), so
+    * a matching over B weighs at most the sum of B's row maxima, and at most
+    * the sum of its column maxima. A direction's bound is the smaller sum
+    * over max(|a|, |b|): never below its [[matchingBound]], and never above
+    * the node-count bound `LayoutGraph.sizeBound`, since each maximum is
+    * ≤ 1. Each sum runs over its own line's index order, so swapping `a`
+    * and `b` swaps the two results bit for bit.
+    */
+  private[core] def lineBounds(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]]): (Double, Double) = {
+    val u = a.size; val v = b.size
+    val dn = normalization(a, b)
+    // row and column maxima of B in direction a → b (u × v) and b → a (v × u)
+    val rowAB = new Array[Double](u); val colAB = new Array[Double](v)
+    val rowBA = new Array[Double](v); val colBA = new Array[Double](u)
+    var i = 0
+    while (i < u) {
+      var j = 0
+      while (j < v) {
+        val ab = cap(s0(i)(j), reach(a, i, b, j), dn)
+        val ba = cap(s0(i)(j), reach(b, j, a, i), dn)
+        if (ab > rowAB(i)) rowAB(i) = ab
+        if (ab > colAB(j)) colAB(j) = ab
+        if (ba > rowBA(j)) rowBA(j) = ba
+        if (ba > colBA(i)) colBA(i) = ba
+        j += 1
+      }
+      i += 1
+    }
+    val n = math.max(u, v).toDouble
+    (math.min(total(rowAB), total(colAB)) / n, math.min(total(rowBA), total(colBA)) / n)
+  }
+
+  /** Sum of `xs` in index order. */
+  private def total(xs: Array[Double]): Double = {
+    var s = 0.0
+    var k = 0
+    while (k < xs.length) { s += xs(k); k += 1 }
+    s
+  }
+
+  /** Matching bound on one flooding direction sim(a, b), from σ⁰ = `s0`
+    * (|a| × |b|): the maximum-weight matching average over B (see [[cap]]).
+    * Every iterate, σ⁰ included, is at most B, so this bounds the score.
+    */
+  private[core] def matchingBound(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]]): Double = {
+    val dn = normalization(a, b)
+    matchingAverage(Array.tabulate(a.size, b.size)((i, j) => cap(s0(i)(j), reach(a, i, b, j), dn)))
   }
 }
 

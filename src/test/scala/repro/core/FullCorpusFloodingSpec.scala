@@ -14,7 +14,8 @@ import repro.eval.Strategies
   * cross-file region pair must score as under the 192-bin NCC
   * ([[ReferenceCandidates]]), and every candidate pair within the
   * node-count bound 0.7 is scored by [[ReferenceFlooding]], which
-  * inference must reproduce exactly.
+  * inference must reproduce exactly; on each of those pairs the cheap
+  * line bound of the flooding must be at least the matching bound.
   */
 class FullCorpusFloodingSpec extends SparkSpec {
   import FullCorpusFloodingSpec.{Case, regionKey}
@@ -105,6 +106,27 @@ class FullCorpusFloodingSpec extends SparkSpec {
         .filter { case (k, s) => s != cs.reference(k) }
       assert(pairs.nonEmpty)
       assert(diffs.isEmpty, s"${diffs.length} of ${pairs.size} pairs differ, e.g. ${diffs.take(3).toSeq}")
+    }
+
+    test(s"$name: on every size-bound survivor the line bound is at least the matching bound") {
+      val cs = c()
+      val byFile = cs.layouts.map(g => g.fileId -> g).toMap
+      val bc = spark.sparkContext.broadcast(byFile)
+      val pairs = cs.reference.keys.toVector
+      // per pair: line bound − matching bound, per direction and for the mean
+      val gaps = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
+        .map { case (a, b) =>
+          val ga = bc.value(a); val gb = bc.value(b)
+          val s0 = SimilarityFlooding.seed(ga, gb)
+          val (lineAB, lineBA) = SimilarityFlooding.lineBounds(ga, gb, s0)
+          val matchAB = SimilarityFlooding.matchingBound(ga, gb, s0)
+          val matchBA = SimilarityFlooding.matchingBound(gb, ga, SimilarityFlooding.seed(gb, ga))
+          (a, b) -> Seq(lineAB - matchAB, lineBA - matchBA, (lineAB + lineBA) / 2.0 - (matchAB + matchBA) / 2.0).min
+        }
+        .collect()
+      val unsound = gaps.filter(_._2 < -1e-12)
+      assert(gaps.length == pairs.size && pairs.nonEmpty)
+      assert(unsound.isEmpty, s"${unsound.length} of ${pairs.size} pairs, e.g. ${unsound.take(3).toSeq}")
     }
 
     test(s"$name: infer keeps the reference's edges and partition at τ_f = $tauLayout") {

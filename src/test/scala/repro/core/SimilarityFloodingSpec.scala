@@ -235,13 +235,80 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     })
   }
 
+  /** Per direction and for their mean: reference score ≤ matching bound ≤
+    * line bound ≤ node-count bound (which rounds differently).
+    */
+  private def boundCascade(a: LayoutGraph, b: LayoutGraph, p: SimilarityFlooding.Params): Prop = {
+    val s0 = SimilarityFlooding.seed(a, b)
+    val (lineAB, lineBA) = SimilarityFlooding.lineBounds(a, b, s0)
+    val matchAB = SimilarityFlooding.matchingBound(a, b, s0)
+    val matchBA = SimilarityFlooding.matchingBound(b, a, SimilarityFlooding.seed(b, a))
+    val refAB = ReferenceFlooding.simAsym(a, b, p); val refBA = ReferenceFlooding.simAsym(b, a, p)
+    val size = LayoutGraph.sizeBound(a.size, b.size) + 1e-12
+    def chain(name: String, ref: Double, matched: Double, line: Double): Prop =
+      (ref <= matched && matched <= line + 1e-12 && line <= size) :|
+        s"$name: reference $ref, matching $matched, line $line, node count $size"
+    chain("a → b", refAB, matchAB, lineAB) && chain("b → a", refBA, matchBA, lineBA) &&
+      chain("mean", (refAB + refBA) / 2.0, (matchAB + matchBA) / 2.0, (lineAB + lineBA) / 2.0)
+  }
+
   test("property: the flooding bound is at least the score and at most the node-count bound") {
     holds(Prop.forAllNoShrink(genPair, genParams) { case ((a, b), p) =>
-      val ref = ReferenceFlooding.similarity(a, b, p)
-      // atLeast above 1 always returns the bound; sizeBound rounds differently
+      // atLeast above 1 rejects every pair at the first stage
       val bound = SimilarityFlooding.similarity(a, b, p, atLeast = 2.0)
-      (bound >= ref && bound <= LayoutGraph.sizeBound(a.size, b.size) + 1e-12) :| s"bound $bound, reference $ref"
+      val (ab, ba) = SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b))
+      boundCascade(a, b, p) && (bound == (ab + ba) / 2.0) :| s"atLeast = 2 returned $bound"
     })
+  }
+
+  private def region(id: String, box: Rect, counts: Int*): Region = {
+    val c = new Array[Int](Cells.all.size)
+    counts.copyToArray(c)
+    Region(id, box, Vector(box), c, box.area.toInt)
+  }
+
+  test("bounds of two single-region layouts are σ⁰") {
+    val a = LayoutGraph.build("a", Vector(region("a", Rect(0, 0, 1, 1), 3, 1)))
+    val b = LayoutGraph.build("b", Vector(region("b", Rect(0, 0, 2, 0), 1, 2, 1)))
+    val s = RegionSimilarity.similarity(a.regions(0), b.regions(0))
+    assert(s > 0.0 && s < 1.0)
+    assert(SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b)) == ((s, s)))
+    assert(SimilarityFlooding.matchingBound(a, b, SimilarityFlooding.seed(a, b)) == s)
+    assert(SimilarityFlooding.similarity(a, b) == s)
+    assert(SimilarityFlooding.similarity(a, b, atLeast = 1.0) == s)
+    assert(boundCascade(a, b, SimilarityFlooding.Params()).apply(Gen.Parameters.default).success)
+  }
+
+  test("bounds of a one-region layout against n regions are the best σ⁰ over n") {
+    // a lone node has no neighbors, so B = σ⁰ and flooding leaves σ⁰ as it is
+    val a = LayoutGraph.build("a", Vector(region("a", Rect(0, 0, 1, 1), 3, 1)))
+    val b = LayoutGraph.build("b", Vector(
+      region("b", Rect(0, 0, 1, 0), 1, 2, 1), region("b", Rect(0, 2, 1, 3), 3, 1, 1),
+      region("b", Rect(3, 0, 3, 3), 0, 1, 4)))
+    val best = b.regions.map(RegionSimilarity.similarity(a.regions(0), _)).max / 3.0
+    for ((x, y) <- Seq(a -> b, b -> a)) {
+      val (xy, yx) = SimilarityFlooding.lineBounds(x, y, SimilarityFlooding.seed(x, y))
+      assert(xy == best && yx == best, s"${x.fileId} × ${y.fileId}")
+      assert(SimilarityFlooding.matchingBound(x, y, SimilarityFlooding.seed(x, y)) == best)
+      assert(SimilarityFlooding.similarity(x, y) == best)
+      assert(boundCascade(x, y, SimilarityFlooding.Params()).apply(Gen.Parameters.default).success)
+    }
+  }
+
+  test("line bound takes the smaller of the row and column maxima sums") {
+    // a's two regions are stacked (H), b's side by side (V): no edge pair
+    // shares a direction, so B = σ⁰ = [[1, s], [1, s]] and flooding is inert
+    val a = LayoutGraph.build("a", Vector(region("a", Rect(0, 0, 1, 0), 3, 1), region("a", Rect(0, 2, 1, 2), 3, 1)))
+    val b = LayoutGraph.build("b", Vector(region("b", Rect(0, 0, 0, 1), 3, 1), region("b", Rect(2, 0, 2, 1), 1, 2, 1)))
+    assert(a.dirs(1) == H.code && b.dirs(1) == V.code)
+    val s = RegionSimilarity.similarity(a.regions(0), b.regions(1))
+    assert(s < 0.9)
+    // rows sum to 2, columns to 1 + s, in both directions
+    val want = (1.0 + s) / 2.0
+    val (ab, ba) = SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b))
+    assert(math.abs(ab - want) < 1e-15 && math.abs(ba - want) < 1e-15, s"$ab, $ba vs $want")
+    assert(math.abs(SimilarityFlooding.similarity(a, b) - want) < 1e-15)
+    assert(SimilarityFlooding.similarity(a, b, atLeast = 0.99) == (ab + ba) / 2.0)
   }
 
   test("property: similarity is symmetric and within [0, 1]") {
