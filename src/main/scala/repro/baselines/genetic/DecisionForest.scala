@@ -16,7 +16,10 @@ object DecisionForest {
   final case class Leaf(label: Int) extends Node
   final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 
-  final case class Params(trees: Int = 12, maxDepth: Int = 10, minLeaf: Int = 4, seed: Long = 7)
+  /** Forest shape: trees per forest, tree depth, instances per leaf. */
+  private val Trees = 12
+  private val MaxDepth = 10
+  private val MinLeaf = 4
 
   final case class Forest(roots: Vector[Node], nClasses: Int) {
     def predict(features: Array[Double]): Int = {
@@ -44,9 +47,9 @@ object DecisionForest {
     else 1.0 - counts.map { c => val p = c.toDouble / total; p * p }.sum
   }
 
-  private def buildTree(insts: IndexedSeq[Instance], depth: Int, p: Params,
+  private def buildTree(insts: IndexedSeq[Instance], depth: Int,
                         nClasses: Int, nFeatures: Int, rnd: Random): Node = {
-    if (depth >= p.maxDepth || insts.length < 2 * p.minLeaf ||
+    if (depth >= MaxDepth || insts.length < 2 * MinLeaf ||
         insts.forall(_.label == insts.head.label))
       return Leaf(majority(insts, nClasses))
 
@@ -67,7 +70,7 @@ object DecisionForest {
       while (i < total - 1) {
         leftCounts(sorted(i).label) += 1
         val v = sorted(i).features(f); val nv = sorted(i + 1).features(f)
-        if (v != nv && i + 1 >= p.minLeaf && total - i - 1 >= p.minLeaf) {
+        if (v != nv && i + 1 >= MinLeaf && total - i - 1 >= MinLeaf) {
           val rightCounts = parentCounts.indices.map(c => parentCounts(c) - leftCounts(c)).toArray
           val g = parentGini -
             ((i + 1).toDouble / total) * gini(leftCounts, i + 1) -
@@ -80,18 +83,18 @@ object DecisionForest {
     if (bestF < 0) return Leaf(majority(insts, nClasses))
     val (l, r) = insts.partition(_.features(bestF) <= bestT)
     Split(bestF, bestT,
-      buildTree(l, depth + 1, p, nClasses, nFeatures, rnd),
-      buildTree(r, depth + 1, p, nClasses, nFeatures, rnd))
+      buildTree(l, depth + 1, nClasses, nFeatures, rnd),
+      buildTree(r, depth + 1, nClasses, nFeatures, rnd))
   }
 
-  /** Trains a forest with bootstrap sampling per tree. */
-  def train(data: IndexedSeq[Instance], nClasses: Int, p: Params = Params()): Forest = {
+  /** Trains a forest with bootstrap sampling per tree, drawn from `seed`. */
+  def train(data: IndexedSeq[Instance], nClasses: Int, seed: Long): Forest = {
     require(data.nonEmpty, "empty training set")
     val nFeatures = data.head.features.length
-    val roots = Vector.tabulate(p.trees) { t =>
-      val treeRnd = new Random(p.seed * 31 + t)
+    val roots = Vector.tabulate(Trees) { t =>
+      val treeRnd = new Random(seed * 31 + t)
       val boot = IndexedSeq.fill(data.length)(data(treeRnd.nextInt(data.length)))
-      buildTree(boot, 0, p, nClasses, nFeatures, treeRnd)
+      buildTree(boot, 0, nClasses, nFeatures, treeRnd)
     }
     Forest(roots, nClasses)
   }

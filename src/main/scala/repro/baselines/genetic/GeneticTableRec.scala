@@ -88,8 +88,7 @@ object GeneticTableRec {
           val sample =
             if (insts.size <= MaxCellsPerFold) insts.toIndexedSeq
             else { val r2 = new Random(Seed + fold); IndexedSeq.fill(MaxCellsPerFold)(insts(r2.nextInt(insts.size))) }
-          val forest = DecisionForest.train(sample, NClasses,
-            DecisionForest.Params(seed = Seed * 131 + fold))
+          val forest = DecisionForest.train(sample, NClasses, Seed * 131 + fold)
           test.map { f =>
             f.fileId -> (for {
               y <- f.rows.indices

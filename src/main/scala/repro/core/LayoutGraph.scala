@@ -51,11 +51,13 @@ object LayoutGraph {
   def build(fileId: String, regions: Vector[Region]): LayoutGraph = new LayoutGraph(fileId, regions)
 
   /** Upper bound on the symmetric layout similarity of two graphs, from the
-    * node-count difference: every unmatched node contributes 0 to the
-    * average over max(|Ga|,|Gb|) nodes (paper §5.4 pruning).
+    * node-count difference: at most min(|Ga|,|Gb|) nodes are matched, each
+    * with similarity ≤ 1, and every unmatched node contributes 0 to the
+    * average over max(|Ga|,|Gb|) nodes (paper §5.4 pruning). Computed as
+    * min/max, it is never below a matching average in floating point.
     */
   def sizeBound(na: Int, nb: Int): Double = {
     val mx = math.max(na, nb)
-    if (mx == 0) 1.0 else 1.0 - math.abs(na - nb).toDouble / mx
+    if (mx == 0) 1.0 else math.min(na, nb).toDouble / mx
   }
 }

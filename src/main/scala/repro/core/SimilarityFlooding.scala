@@ -66,16 +66,20 @@ object SimilarityFlooding {
     * after `maxIterations`; a direction's score is the maximum-weight
     * matching average over max(|Ga|, |Gb|).
     *
-    * With `atLeast` > 0 the caller only needs scores ≥ `atLeast`, and two
-    * upper bounds on the score are tried before flooding, cheapest first:
-    * the mean of both directions' [[lineBounds]] (O(|Ga|·|Gb|)), then that
-    * of their [[matchingBound]]s (a Hungarian matching each). The first
-    * mean below `atLeast` − [[BoundSlack]] is returned without flooding. It
-    * is then an upper bound below `atLeast`, not the score.
+    * With `atLeast` > 0 the caller only needs scores ≥ `atLeast`, and a
+    * cascade of upper bounds on the score runs before flooding, cheapest
+    * first. The node-count bound `LayoutGraph.sizeBound` (§5.4) is returned
+    * when it is below `atLeast`, before σ⁰ is built. Then come the mean of
+    * both directions' [[lineBounds]] (O(|Ga|·|Gb|)) and that of their
+    * [[matchingBound]]s (a Hungarian matching each); the first mean below
+    * `atLeast` − [[BoundSlack]] is returned without flooding. A returned
+    * bound is below `atLeast`, and is not the score.
     */
   def similarity(ga: LayoutGraph, gb: LayoutGraph, p: Params = Params(), atLeast: Double = 0.0): Double = {
     val u = ga.size; val v = gb.size
     if (u == 0 || v == 0) return 0.0
+    val size = LayoutGraph.sizeBound(u, v)
+    if (size < atLeast) return size
     val s0 = seed(ga, gb)
     // σ⁰ is symmetric bit for bit, so the reverse direction uses its transpose
     lazy val s0t = Array.tabulate(v, u)((j, i) => s0(i)(j))

@@ -16,12 +16,13 @@ import scala.collection.mutable
   *     representative per class: scoring reads nothing else, so every file
   *     pair of two classes has the class pair's score;
   *  1. all-pairs region similarity (broadcast closed-form fingerprint
-  *     index) keeps class pairs with a region pair of similarity ≥ τ_r →
-  *     candidate class pairs, including (X, X) when class X holds 2+ files;
-  *  2. candidate pairs whose node-count bound allows sim ≥ τ_f get a
-  *     similarity-flooding layout comparison (parallel Spark map), which
-  *     stops early when its upper bound rules out sim ≥ τ_f;
-  *  3. class pairs with layout similarity ≥ τ_f expand on the driver to the
+  *     index) finds the class pairs with a region pair of similarity ≥ τ_r
+  *     — candidate class pairs, including (X, X) when class X holds 2+
+  *     files — and each candidate gets its similarity-flooding layout
+  *     comparison where it is found, in one parallel Spark map; the
+  *     comparison stops early when its bound cascade (node count, then
+  *     flooding bounds) rules out sim ≥ τ_f;
+  *  2. class pairs with layout similarity ≥ τ_f expand on the driver to the
   *     file pairs they stand for, the edges of the file graph; templates are
   *     its connected components (union-find on the driver — the file graph
   *     has one node per file, which is small).
@@ -50,7 +51,9 @@ object TemplateInference {
   def candidatePairs(spark: SparkSession, regions: Vector[Region], tauRegion: Double): Vector[(String, String)] = {
     val files = regions.groupBy(_.fileId).toArray.sortBy(_._1)
     val classes = layoutClasses(files.map(_._2))
-    val cands = candidates(spark, classes.map(c => files(c(0))._2), classes.map(_.length > 1), tauRegion)
+    val reps = classes.map { c => val (id, rs) = files(c(0)); LayoutGraph.build(id, rs) }
+    // at τ_f = +∞ the node-count stage rejects every pair before σ⁰ is built
+    val (cands, _) = scan(spark, reps, classes.map(_.length > 1), Params(tauRegion, Double.PositiveInfinity))
     cands.flatMap(filePairs(classes, _)).sorted.iterator
       .map(k => (files(first(k))._1, files(second(k))._1)).toVector
   }
@@ -83,54 +86,63 @@ object TemplateInference {
     else for (a <- xs.iterator; b <- ys.iterator) yield if (a < b) pack(a, b) else pack(b, a)
   }
 
-  /** Candidate pairs of the layout classes whose representative regions
-    * are `classes(0)`, `classes(1)`, …, as packed, sorted class-index pairs
-    * (X, Y), X ≤ Y; (X, X) only when `shared(X)`, i.e. X holds 2+ files.
+  /** Candidate pairs of the layout classes whose representatives are
+    * `reps(0)`, `reps(1)`, …, as packed class-index pairs (X, Y), X ≤ Y, in
+    * no particular order; (X, X) only when `shared(X)`, i.e. X holds 2+
+    * files. Beside each candidate is its
+    * `SimilarityFlooding.similarity(reps(X), reps(Y), p.flooding, p.tauLayout)`:
+    * the score when it is ≥ τ_f, an upper bound below τ_f otherwise.
     *
-    * The closed-form terms of all regions (124 bytes each) are
-    * broadcast as one [[RegionSimilarity.Index]], grouped by class. Task p
-    * of P owns the rows X = p, p + P, …, which balances the shrinking
-    * rows, and compares class X with every class Y ≥ X until the first
-    * region pair ≥ `tauRegion`, so each candidate is emitted once and
-    * nothing is shuffled — the all-pairs comparison the paper's index
-    * converges to.
+    * One broadcast holds the layouts, their region offsets, the `shared`
+    * flags and the closed-form terms of all regions (124 bytes each) as one
+    * [[RegionSimilarity.Index]]. Task t of T owns the rows X = t, t + T, …,
+    * which balances the shrinking rows, and compares class X with every
+    * class Y ≥ X until the first region pair ≥ τ_r, so each candidate is
+    * found once and scored where it is found; nothing is shuffled. A row's
+    * cost is mostly its flooding, which varies with the layouts, so T is
+    * 4 × `defaultParallelism`: with one task per core, the few heavy rows
+    * of a large template pile up in one task.
     */
-  private def candidates(spark: SparkSession, classes: Array[Vector[Region]], shared: Array[Boolean],
-                         tauRegion: Double): Array[Long] = {
-    if (classes.isEmpty) return Array.empty
+  private def scan(spark: SparkSession, reps: Array[LayoutGraph], shared: Array[Boolean],
+                   p: Params): (Array[Long], Array[Double]) = {
+    if (reps.isEmpty) return (Array.empty, Array.empty)
     val sc = spark.sparkContext
-    val start = classes.scanLeft(0)(_ + _.size)
-    val bc = sc.broadcast((start, shared, new RegionSimilarity.Index(classes.flatten)))
-    val tasks = sc.defaultParallelism
-    val pairs = sc.parallelize(0 until tasks, tasks).map { p =>
-      val (start, shared, index) = bc.value
+    val start = reps.scanLeft(0)(_ + _.size)
+    val bc = sc.broadcast((reps, start, shared, new RegionSimilarity.Index(reps.flatMap(_.regions))))
+    val tasks = 4 * sc.defaultParallelism
+    val found = sc.parallelize(0 until tasks, tasks).map { t =>
+      val (reps, start, shared, index) = bc.value
       def matches(a: Int, b: Int): Boolean = {
         var i = start(a)
         while (i < start(a + 1)) {
           var j = start(b)
           while (j < start(b + 1)) {
-            if (index.similarity(i, j) >= tauRegion) return true
+            if (index.similarity(i, j) >= p.tauRegion) return true
             j += 1
           }
           i += 1
         }
         false
       }
-      val out = Array.newBuilder[Long]
-      val n = start.length - 1
-      var a = p
-      while (a < n) {
+      val keys = Array.newBuilder[Long]; val values = Array.newBuilder[Double]
+      var a = t
+      while (a < reps.length) {
         var b = if (shared(a)) a else a + 1
-        while (b < n) { if (matches(a, b)) out += pack(a, b); b += 1 }
+        while (b < reps.length) {
+          if (matches(a, b)) {
+            keys += pack(a, b)
+            values += SimilarityFlooding.similarity(reps(a), reps(b), p.flooding, p.tauLayout)
+          }
+          b += 1
+        }
         a += tasks
       }
-      out.result()
-    }.collect().flatten
-    java.util.Arrays.sort(pairs)
-    pairs
+      (keys.result(), values.result())
+    }.collect()
+    (found.flatMap(_._1), found.flatMap(_._2))
   }
 
-  /** Full inference over per-file layout graphs (steps 1–3), on one
+  /** Full inference over per-file layout graphs (steps 1–2), on one
     * representative per layout class. `candidatePairs` of the result
     * counts candidate file pairs before any pruning; `edges` come sorted by
     * file id, first file then second.
@@ -138,49 +150,23 @@ object TemplateInference {
   def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
     val files = layouts.sortBy(_.fileId).toArray
     val classes = layoutClasses(files.map(_.regions))
-    val reps = classes.map(c => files(c(0)))
-    val cands = candidates(spark, reps.map(_.regions), classes.map(_.length > 1), p.tauRegion)
-    val scores = scorePairs(spark, reps, cands, p.tauLayout, p.flooding)
-    val scoreOf = mutable.LongMap.from(scores)
+    val (cands, scores) = scan(spark, classes.map(c => files(c(0))), classes.map(_.length > 1), p)
+    val scoreOf = mutable.LongMap.empty[Double]
+    for (n <- cands.indices if scores(n) >= p.tauLayout) scoreOf(cands(n)) = scores(n)
     val classOf = new Array[Int](files.length)
     for ((c, x) <- classes.zipWithIndex; i <- c) classOf(i) = x
-    val keys = scores.flatMap { case (k, _) => filePairs(classes, k) }
+    val keys = scoreOf.keysIterator.flatMap(filePairs(classes, _)).toArray
     java.util.Arrays.sort(keys)
     val edges = Vector.tabulate(keys.length) { n =>
       val a = first(keys(n)); val b = second(keys(n))
       val x = classOf(a); val y = classOf(b)
       (files(a).fileId, files(b).fileId, scoreOf(pack(math.min(x, y), math.max(x, y))))
     }
-    var candidateFilePairs = 0L
-    for (k <- cands) {
+    val candidateFilePairs = cands.iterator.map { k =>
       val n = classes(first(k)).length.toLong
-      candidateFilePairs += (if (first(k) == second(k)) n * (n - 1) / 2 else n * classes(second(k)).length)
-    }
+      if (first(k) == second(k)) n * (n - 1) / 2 else n * classes(second(k)).length
+    }.sum
     Result(templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout), edges, candidateFilePairs)
-  }
-
-  /** Scores candidate class pairs (packed indices into the representative
-    * layouts `reps`) on Spark and keeps those with layout similarity ≥
-    * `floor` (step 2). Pairs whose node-count bound (§5.4) is below `floor`
-    * are never flooded, and flooding itself skips pairs whose upper bound
-    * is below `floor`; neither changes an edge ≥ `floor`. The layouts and
-    * the pairs are broadcast, and task p of P scores the pairs p, p + P, …,
-    * so that expensive pairs of one template spread over all tasks.
-    */
-  private def scorePairs(spark: SparkSession, reps: Array[LayoutGraph], cands: Array[Long],
-                         floor: Double, flood: SimilarityFlooding.Params): Array[(Long, Double)] = {
-    val toScore = cands.filter(k => LayoutGraph.sizeBound(reps(first(k)).size, reps(second(k)).size) >= floor)
-    if (toScore.isEmpty) return Array.empty
-    val sc = spark.sparkContext
-    val bc = sc.broadcast((reps, toScore))
-    val tasks = sc.defaultParallelism
-    sc.parallelize(0 until tasks, tasks).flatMap { p =>
-      val (gs, ks) = bc.value
-      (p until ks.length by tasks).iterator.flatMap { n =>
-        val s = SimilarityFlooding.similarity(gs(first(ks(n))), gs(second(ks(n))), flood, floor)
-        if (s >= floor) Some((ks(n), s)) else None
-      }
-    }.collect()
   }
 
   /** Groups files into templates given precomputed edges and a threshold:

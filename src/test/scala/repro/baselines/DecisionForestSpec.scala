@@ -16,25 +16,25 @@ class DecisionForestSpec extends AnyFunSuite {
   }
 
   test("training on an empty set is rejected") {
-    intercept[IllegalArgumentException](DecisionForest.train(IndexedSeq.empty, 2))
+    intercept[IllegalArgumentException](DecisionForest.train(IndexedSeq.empty, 2, 7))
   }
 
   test("single-class data predicts that class everywhere") {
     val data = IndexedSeq.fill(50)(Instance(Array(1.0, 2.0), 1))
-    val f = DecisionForest.train(data, 2)
+    val f = DecisionForest.train(data, 2, 7)
     assert(f.predict(Array(0.0, 0.0)) == 1)
     assert(f.predict(Array(9.0, 9.0)) == 1)
   }
 
   test("learns an axis-aligned split") {
-    val f = DecisionForest.train(linearData(400, 1), 2)
+    val f = DecisionForest.train(linearData(400, 1), 2, 7)
     assert(f.predict(Array(9.0, 5.0)) == 1)
     assert(f.predict(Array(1.0, 5.0)) == 0)
   }
 
   test("training accuracy is high on separable data") {
     val data = linearData(400, 2)
-    val f = DecisionForest.train(data, 2)
+    val f = DecisionForest.train(data, 2, 7)
     val acc = data.count(i => f.predict(i.features) == i.label).toDouble / data.size
     assert(acc > 0.95, s"acc $acc")
   }
@@ -46,7 +46,7 @@ class DecisionForestSpec extends AnyFunSuite {
       val flipped = if (rnd.nextDouble() < 0.1) 1 - label else label
       Instance(Array(x, rnd.nextDouble()), flipped)
     }
-    val f = DecisionForest.train(gen(500), 2)
+    val f = DecisionForest.train(gen(500), 2, 7)
     val test = gen(200)
     val acc = test.count(i => f.predict(i.features) == i.label).toDouble / test.size
     assert(acc > 0.7, s"acc $acc")
@@ -58,7 +58,7 @@ class DecisionForestSpec extends AnyFunSuite {
       val x = rnd.nextDouble() * 3
       Instance(Array(x), x.toInt)
     }
-    val f = DecisionForest.train(data, 3)
+    val f = DecisionForest.train(data, 3, 7)
     assert(f.predict(Array(0.2)) == 0)
     assert(f.predict(Array(1.5)) == 1)
     assert(f.predict(Array(2.8)) == 2)
@@ -66,16 +66,10 @@ class DecisionForestSpec extends AnyFunSuite {
 
   test("training is deterministic in the seed") {
     val data = linearData(200, 5)
-    val a = DecisionForest.train(data, 2, Params(seed = 9))
-    val b = DecisionForest.train(data, 2, Params(seed = 9))
+    val a = DecisionForest.train(data, 2, 9)
+    val b = DecisionForest.train(data, 2, 9)
     val probe = Array(4.9, 2.0)
     assert(a.predict(probe) == b.predict(probe))
     assert(a.roots == b.roots)
-  }
-
-  test("maxDepth 0 yields a single majority leaf") {
-    val data = linearData(100, 6) ++ IndexedSeq.fill(200)(Instance(Array(1.0, 1.0), 0))
-    val f = DecisionForest.train(data, 2, Params(trees = 3, maxDepth = 0))
-    assert(f.roots.forall(_.isInstanceOf[Leaf]))
   }
 }

@@ -119,6 +119,9 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     assert(LayoutGraph.sizeBound(1, 2) == 0.5)
     assert(LayoutGraph.sizeBound(0, 0) == 1.0)
     assert(LayoutGraph.sizeBound(0, 4) == 0.0)
+    // min/max: 1 − 4/5 would round to 0.19999999999999996, below the score
+    // 1/5 of a lone region matched exactly against five
+    assert(LayoutGraph.sizeBound(1, 5) == 0.2 && LayoutGraph.sizeBound(6, 1) == 1.0 / 6)
   }
   test("flooding stays within [0, 1]") {
     val g = grid("1|2|a", "3|4|b", " | | ", "x|y|z")
@@ -254,10 +257,16 @@ class SimilarityFloodingSpec extends AnyFunSuite {
 
   test("property: the flooding bound is at least the score and at most the node-count bound") {
     holds(Prop.forAllNoShrink(genPair, genParams) { case ((a, b), p) =>
-      // atLeast above 1 rejects every pair at the first stage
-      val bound = SimilarityFlooding.similarity(a, b, p, atLeast = 2.0)
+      val size = LayoutGraph.sizeBound(a.size, b.size)
+      // atLeast above 1 rejects every pair at the first stage, the node count
+      val first = SimilarityFlooding.similarity(a, b, p, atLeast = 2.0)
+      // atLeast = the node-count bound passes it, and the line stage rejects
+      // the pair when its bound falls short by more than the 1e-9 slack
+      val second = SimilarityFlooding.similarity(a, b, p, atLeast = size)
       val (ab, ba) = SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b))
-      boundCascade(a, b, p) && (bound == (ab + ba) / 2.0) :| s"atLeast = 2 returned $bound"
+      val line = (ab + ba) / 2.0
+      boundCascade(a, b, p) && (first == size) :| s"atLeast = 2 returned $first" &&
+        (line >= size - 1e-9 || second == line) :| s"atLeast = $size returned $second, line bound $line"
     })
   }
 
@@ -292,6 +301,21 @@ class SimilarityFloodingSpec extends AnyFunSuite {
       assert(SimilarityFlooding.matchingBound(x, y, SimilarityFlooding.seed(x, y)) == best)
       assert(SimilarityFlooding.similarity(x, y) == best)
       assert(boundCascade(x, y, SimilarityFlooding.Params()).apply(Gen.Parameters.default).success)
+    }
+  }
+
+  test("a one-region layout against three regions stops at the node-count bound") {
+    val a = LayoutGraph.build("a", Vector(region("a", Rect(0, 0, 1, 1), 3, 1)))
+    val b = LayoutGraph.build("b", Vector(
+      region("b", Rect(0, 0, 1, 0), 1, 2, 1), region("b", Rect(0, 2, 1, 3), 3, 1, 1),
+      region("b", Rect(3, 0, 3, 3), 0, 1, 4)))
+    // no σ⁰ reaches 1, so the line bound and the score are below 1/3
+    val size = LayoutGraph.sizeBound(1, 3)
+    val (ab, ba) = SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b))
+    assert((ab + ba) / 2.0 < size && size < 0.99)
+    for ((x, y) <- Seq(a -> b, b -> a)) {
+      val got = SimilarityFlooding.similarity(x, y, atLeast = 0.99)
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(size), s"$got")
     }
   }
 
