@@ -45,39 +45,106 @@ object Cells {
   val all: Seq[SynType] =
     Seq(Empty, IntegerSt, FloatSt, TimeSt, DateSt, UppercaseSt, LowercaseSt, TitlecaseSt, GenericSt)
 
-  private val IntRe   = """[+-]?\d+""".r
-  private val FloatRe = """[+-]?(\d+[.,]\d*|[.,]\d+)([eE][+-]?\d+)?""".r
-  private val TimeRe  = """\d{1,2}:\d{2}(:\d{2})?""".r
-  private val DateRe  = """\d{1,4}[/\-.]\d{1,2}[/\-.]\d{1,4}""".r
-
-  /** Infers the syntactic type of a raw cell string (paper §4.1).
-    *
-    * Whitespace-only content is Empty. Datetime patterns are checked before
-    * numbers so "17/9/20" is a date, not three integers. String casing:
-    * uppercase iff it has letters and no lowercase; lowercase iff it has
-    * letters and no uppercase; titlecase iff every word starts uppercase and
-    * continues lowercase; generic otherwise (mixed symbols etc.).
+  /** Infers the syntactic type of a raw cell string (paper §4.1) in one
+    * pass over the string trimmed as by `String.trim` (characters up to
+    * U+0020 dropped at both ends). The first rule that holds gives the type,
+    * where `\d` is an ASCII digit:
+    *  - nothing left: Empty;
+    *  - `\d{1,2}:\d{2}(:\d{2})?`: Time;
+    *  - `\d{1,4}[/\-.]\d{1,2}[/\-.]\d{1,4}`: Date, so "17/9/20" is a date,
+    *    not three integers;
+    *  - `[+-]?\d+`: Integer;
+    *  - `[+-]?(\d+[.,]\d*|[.,]\d+)([eE][+-]?\d+)?`: Float;
+    *  - no letter: Generic; all letters uppercase: Uppercase; all
+    *    lowercase: Lowercase; in every word (split at `[ \t\n\x0B\f\r]`)
+    *    the first letter uppercase and the others lowercase: Titlecase;
+    *    otherwise Generic.
+    * The pass runs one small automaton per pattern and tracks the letters'
+    * case; the patterns as regular expressions are the tests' reference.
     */
   def synType(raw: String): SynType = {
-    val v = if (raw == null) "" else raw.trim
-    if (v.isEmpty) Empty
-    else if (TimeRe.matches(v)) TimeSt
-    else if (DateRe.matches(v)) DateSt
-    else if (IntRe.matches(v)) IntegerSt
-    else if (FloatRe.matches(v)) FloatSt
-    else {
-      val letters = v.filter(_.isLetter)
-      if (letters.isEmpty) GenericSt
-      else if (letters.forall(_.isUpper)) UppercaseSt
-      else if (letters.forall(_.isLower)) LowercaseSt
-      else {
-        val words = v.split("""[\s]+""").filter(_.exists(_.isLetter))
-        val title = words.nonEmpty && words.forall { w =>
-          val ls = w.dropWhile(!_.isLetter)
-          ls.nonEmpty && ls.head.isUpper && ls.tail.filter(_.isLetter).forall(_.isLower)
-        }
-        if (title) TitlecaseSt else GenericSt
-      }
+    if (raw == null) return Empty
+    var from = 0; var to = raw.length
+    while (from < to && raw.charAt(from) <= ' ') from += 1
+    while (to > from && raw.charAt(to - 1) <= ' ') to -= 1
+    if (from == to) return Empty
+    var time = 0; var date = 0; var number = Start
+    var letters = false; var allUpper = true; var allLower = true
+    var title = true; var firstInWord = true
+    var i = from
+    while (i < to) {
+      val c = raw.charAt(i)
+      time = stepTime(time, c); date = stepDate(date, c); number = stepNumber(number, c)
+      if (Character.isLetter(c)) {
+        val upper = Character.isUpperCase(c); val lower = Character.isLowerCase(c)
+        letters = true; allUpper &&= upper; allLower &&= lower
+        title &&= (if (firstInWord) upper else lower)
+        firstInWord = false
+      } else if (c == ' ' || (c >= '\t' && c <= '\r')) firstInWord = true
+      i += 1
+    }
+    if (time != Dead && (time >> 2) >= 1 && (time & 3) == 2) TimeSt
+    else if (date != Dead && (date >> 3) == 2 && (date & 7) >= 1) DateSt
+    else if (number == IntDigits) IntegerSt
+    else if (number == PointAfterDigits || number == Fraction || number == ExpDigits) FloatSt
+    else if (!letters) GenericSt
+    else if (allUpper) UppercaseSt
+    else if (allLower) LowercaseSt
+    else if (title) TitlecaseSt
+    else GenericSt
+  }
+
+  private final val Dead = -1
+
+  private def isDigit(c: Char): Boolean = c >= '0' && c <= '9'
+
+  /** `\d{1,2}:\d{2}(:\d{2})?` after `c`; the state is 4 × field + digits
+    * in the field.
+    */
+  private def stepTime(s: Int, c: Char): Int = {
+    val field = s >> 2; val n = s & 3
+    if (s == Dead) Dead
+    else if (isDigit(c)) { if (n < 2) s + 1 else Dead }
+    else if (c == ':' && field < 2 && n >= (if (field == 0) 1 else 2)) (field + 1) << 2
+    else Dead
+  }
+
+  /** `\d{1,4}[/\-.]\d{1,2}[/\-.]\d{1,4}` after `c`; the state is
+    * 8 × field + digits in the field.
+    */
+  private def stepDate(s: Int, c: Char): Int = {
+    val field = s >> 3; val n = s & 7
+    if (s == Dead) Dead
+    else if (isDigit(c)) { if (n < (if (field == 1) 2 else 4)) s + 1 else Dead }
+    else if ((c == '/' || c == '-' || c == '.') && field < 2 && n >= 1) (field + 1) << 3
+    else Dead
+  }
+
+  // States of `[+-]?(\d+[.,]\d*|[.,]\d+)([eE][+-]?\d+)?`; its prefix
+  // `[+-]?\d+` ends in IntDigits, the Integer pattern.
+  private final val Start = 0
+  private final val Sign = 1
+  private final val IntDigits = 2
+  private final val PointAfterDigits = 3
+  private final val Point = 4
+  private final val Fraction = 5
+  private final val Exponent = 6
+  private final val ExpSign = 7
+  private final val ExpDigits = 8
+
+  private def stepNumber(s: Int, c: Char): Int = {
+    val point = c == '.' || c == ','
+    val sign = c == '+' || c == '-'
+    s match {
+      case Start | Sign =>
+        if (isDigit(c)) IntDigits else if (point) Point else if (s == Start && sign) Sign else Dead
+      case IntDigits => if (isDigit(c)) IntDigits else if (point) PointAfterDigits else Dead
+      case PointAfterDigits | Fraction =>
+        if (isDigit(c)) Fraction else if (c == 'e' || c == 'E') Exponent else Dead
+      case Point => if (isDigit(c)) Fraction else Dead
+      case Exponent => if (isDigit(c)) ExpDigits else if (sign) ExpSign else Dead
+      case ExpSign | ExpDigits => if (isDigit(c)) ExpDigits else Dead
+      case _ => Dead
     }
   }
 }

@@ -17,7 +17,8 @@ final case class FileGrid(fileId: String, rows: Array[Array[String]]) {
   def width: Int = if (rows.isEmpty) 0 else rows(0).length
 
   /** The file's type image, built on first use; every stage that needs cell
-    * types reads it instead of re-typing the raw strings.
+    * types reads it instead of re-typing the raw strings. It is not
+    * serialized: a task that receives the grid types its rows once.
     */
   @transient lazy val image: TypeImage = TypeImage(this)
 }

@@ -95,11 +95,12 @@ object TemplateInference {
     *
     * One broadcast holds the layouts, their region offsets, the `shared`
     * flags and the closed-form terms of all regions (124 bytes each) as one
-    * [[RegionSimilarity.Index]]. Task t of T owns the rows X = t, t + T, …,
-    * which balances the shrinking rows, and compares class X with every
-    * class Y ≥ X until the first region pair ≥ τ_r, so each candidate is
-    * found once and scored where it is found; nothing is shuffled. A row's
-    * cost is mostly its flooding, which varies with the layouts, so T is
+    * [[RegionSimilarity.Index]]; it is destroyed once the results are
+    * collected. Task t of T owns the rows X = t, t + T, …, which balances
+    * the shrinking rows, and compares class X with every class Y ≥ X until
+    * the first region pair ≥ τ_r, so each candidate is found once and
+    * scored where it is found; nothing is shuffled. A row's cost is mostly
+    * its flooding, which varies with the layouts, so T is
     * 4 × `defaultParallelism`: with one task per core, the few heavy rows
     * of a large template pile up in one task.
     */
@@ -139,6 +140,7 @@ object TemplateInference {
       }
       (keys.result(), values.result())
     }.collect()
+    bc.destroy()
     (found.flatMap(_._1), found.flatMap(_._2))
   }
 

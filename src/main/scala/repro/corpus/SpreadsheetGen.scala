@@ -88,7 +88,8 @@ object SpreadsheetGen {
                             rows: Array[Array[String]], roles: Array[Array[Byte]],
                             bold: Array[Array[Boolean]], regions: Vector[GoldRegion]) {
     /** The file's grid, built once so that its type image is too; not
-      * serialized (a task rebuilds it from `rows`).
+      * serialized. Detection ships this grid, not the file, to its tasks,
+      * so `roles` and `bold` stay on the driver.
       */
     @transient lazy val grid: FileGrid = FileGrid(fileId, rows)
     def regionBoxes: Vector[Rect] = regions.map(_.box)

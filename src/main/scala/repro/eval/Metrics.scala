@@ -24,8 +24,12 @@ object Metrics {
 
   /** Error of Boundary: max coordinate deviation of the two boxes (§5.3). */
   def eob(p: Rect, t: Rect): Double =
-    Seq(math.abs(p.x0 - t.x0), math.abs(p.y0 - t.y0),
-        math.abs(p.x1 - t.x1), math.abs(p.y1 - t.y1)).max.toDouble
+    math.max(math.max(math.abs(p.x0 - t.x0), math.abs(p.y0 - t.y0)),
+             math.max(math.abs(p.x1 - t.x1), math.abs(p.y1 - t.y1))).toDouble
+
+  /** IoU of the prediction that overlaps `t` best; 0 without predictions. */
+  private def bestIou(grid: FileGrid, predicted: Vector[Rect], t: Rect): Double =
+    predicted.foldLeft(0.0)((best, p) => math.max(best, iou(grid, p, t)))
 
   /** Per-true-region scores: IoU of the best-overlapping prediction and EoB
     * of the closest prediction; a missed region (no predictions) scores
@@ -34,8 +38,16 @@ object Metrics {
   def regionScores(grid: FileGrid, predicted: Vector[Rect], gold: Vector[Rect]): Vector[(Double, Double)] =
     gold.map { t =>
       if (predicted.isEmpty) (0.0, math.max(grid.height, grid.width).toDouble)
-      else (predicted.map(pR => iou(grid, pR, t)).max, predicted.map(pR => eob(pR, t)).min)
+      else (bestIou(grid, predicted, t), predicted.map(pR => eob(pR, t)).min)
     }
+
+  /** Mean over the gold boxes of their `regionScores` IoU, summed in gold
+    * order; 0 without gold boxes. Dynamic Radius detection scores each
+    * radius with it, so it computes no EoB.
+    */
+  def meanIou(grid: FileGrid, predicted: Vector[Rect], gold: Vector[Rect]): Double =
+    if (gold.isEmpty) 0.0
+    else gold.foldLeft(0.0)((sum, t) => sum + bestIou(grid, predicted, t)) / gold.size
 
   /** Homogeneity, completeness and v-measure of a predicted clustering
     * against gold classes (Rosenberg & Hirschberg 2007). Inputs map each

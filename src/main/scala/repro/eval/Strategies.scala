@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines.genetic.GeneticTableRec
 import repro.baselines.tablesense.TableSenseSim
 import repro.core._
+import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.GoldFile
 
 /** The seven region-detection strategies of paper §5.2/§5.5 (Table 4 rows),
@@ -21,49 +22,50 @@ object Strategies {
     if (dataset.startsWith("deco")) Mondrian.DecoParams else Mondrian.FusteParams
 
   /** Runs one strategy over a corpus; detection is one Spark map of a
-    * per-file function. The ML baselines train on the driver first: Genetic
-    * cross-validates its cell classifier on `files`, Tablesense trains on
-    * `other` (cross-dataset setup); `runSeed` feeds both.
+    * per-file function of the file's grid and gold boxes. A task gets just
+    * those: the grid's raw rows, not the file's cell roles and style bits,
+    * which only the Genetic classifier reads, on the driver. The ML
+    * baselines train on the driver first: Genetic cross-validates its cell
+    * classifier on `files`, Tablesense trains on `other` (cross-dataset
+    * setup); `runSeed` feeds both.
     */
   def detect(spark: SparkSession, strategy: String, dataset: String,
              files: Vector[GoldFile], other: Vector[GoldFile],
              runSeed: Long = 0): Map[String, Vector[Region]] = {
     val p = paramsFor(dataset)
-    def parallel(f: GoldFile => Vector[Region]): Map[String, Vector[Region]] =
+    def parallel(f: (FileGrid, Vector[Rect]) => Vector[Region]): Map[String, Vector[Region]] =
       spark.sparkContext
-        .parallelize(files, math.max(1, math.min(files.size, spark.sparkContext.defaultParallelism * 4)))
-        .map(g => g.fileId -> f(g))
+        .parallelize(files.map(g => (g.grid, g.regionBoxes)),
+          math.max(1, math.min(files.size, spark.sparkContext.defaultParallelism * 4)))
+        .map { case (grid, gold) => grid.fileId -> f(grid, gold) }
         .collect()
         .toMap
 
     strategy match {
       case "Gold Standard" =>
-        parallel(g => Mondrian.regionsFromBoxes(g.grid, g.regionBoxes))
+        parallel(Mondrian.regionsFromBoxes)
       case "Static Radius" =>
-        parallel(g => Mondrian.detectRegions(g.grid, p))
+        parallel((grid, _) => Mondrian.detectRegions(grid, p))
       case "Dynamic Radius" =>
         // per-file optimal radius against the gold standard (§5.2): the
         // score is the mean IoU of the gold regions vs. the detected ones
-        parallel { g =>
-          val grid = g.grid
-          val gold = g.regionBoxes
-          Mondrian.detectRegionsDynamic(grid, p, regions =>
-            if (gold.isEmpty) 0.0
-            else Metrics.regionScores(grid, regions.map(_.box), gold).map(_._1).sum / gold.size
-          )._2
+        parallel { (grid, gold) =>
+          Mondrian.detectRegionsDynamic(grid, p, regions => Metrics.meanIou(grid, regions.map(_.box), gold))._2
         }
       case "Connected Components" =>
-        parallel(g => Mondrian.detectRegionsCC(g.grid))
+        parallel((grid, _) => Mondrian.detectRegionsCC(grid))
       case "Genetic (XLS)" | "Genetic (CSV)" =>
         val labels = spark.sparkContext.broadcast(
           GeneticTableRec.classifyCells(files, useStyle = strategy == "Genetic (XLS)"))
-        parallel { g =>
-          val boxes = GeneticTableRec.recognize(g.grid, labels.value.getOrElse(g.fileId, Map.empty), runSeed)
-          Mondrian.regionsFromBoxes(g.grid, boxes)
+        val regions = parallel { (grid, _) =>
+          val boxes = GeneticTableRec.recognize(grid, labels.value.getOrElse(grid.fileId, Map.empty), runSeed)
+          Mondrian.regionsFromBoxes(grid, boxes)
         }
+        labels.destroy()
+        regions
       case "Tablesense" =>
         val model = TableSenseSim.train(other, runSeed)
-        parallel(g => Mondrian.regionsFromBoxes(g.grid, TableSenseSim.detectFile(g.grid, model)))
+        parallel((grid, _) => Mondrian.regionsFromBoxes(grid, TableSenseSim.detectFile(grid, model)))
       case s => throw new IllegalArgumentException(s"unknown strategy $s")
     }
   }

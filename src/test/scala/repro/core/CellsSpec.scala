@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Cells._
 
@@ -89,6 +92,31 @@ class CellsSpec extends AnyFunSuite {
       val s = rnd.alphanumeric.take(rnd.nextInt(12)).mkString
       assert(all.contains(synType(s)))
     }
+  }
+
+  // --- the one-pass typing against Table 1's rules as regular expressions
+  private def show(s: String): String = s.flatMap(c => if (c < ' ') f"\\u${c.toInt}%04X" else c.toString)
+  for ((s, t) <- Seq(
+      "1:2" -> GenericSt, "12:345" -> GenericSt, "1:23:4" -> GenericSt, "1.2.3" -> DateSt,
+      "12345/1/1" -> GenericSt, "+.5e-3" -> FloatSt, "1," -> FloatSt, "." -> GenericSt,
+      "e5" -> LowercaseSt, "Mc Donald" -> TitlecaseSt, "\u01C5emal" -> GenericSt, "\u000B12\u000B" -> IntegerSt))
+    test(s"'${show(s)}' is ${t.name}, as under the regular expressions") {
+      assert(ReferenceTyping.synType(s) == t)
+      assert(synType(s) == t)
+    }
+
+  test("property: the one-pass typing equals the regular expressions on number-like strings") {
+    val char = Gen.frequency(
+      4 -> Gen.numChar,
+      3 -> Gen.oneOf("+-.,:/eE"),
+      2 -> Gen.oneOf(" \t\u000B\u00A0aZ\u00DF\u01C5\u00AA\u4E2D_%"))
+    val gen = Gen.choose(0, 12).flatMap(Gen.listOfN(_, char)).map(_.mkString)
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(20000).withInitialSeed(Seed(1912L))
+    val res = org.scalacheck.Test.check(params, Prop.forAll(gen) { s =>
+      (synType(s) == ReferenceTyping.synType(s)) :| s"'${show(s)}'"
+    })
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
   }
 
   test("isEmpty agrees with synType") {

@@ -4,24 +4,58 @@ import repro.core.CellOps._
 import repro.core.Geometry.Rect
 
 /** Reference cell-by-cell versions of the stages that read the type image,
-  * for the tests: each re-types the raw strings of every cell it visits,
-  * as the code did before [[TypeImage]]. The image-backed functions must
-  * return the same values, histograms bit for bit. Components here are
-  * flood-filled cells, partitioned by regrouping the cells into runs
-  * ([[components]], [[partition]]): the reference for the run-based
-  * segmentation; detection clusters with DBSCAN ([[dbscan]]), the
-  * reference for [[Clustering]]'s ε-graph components.
+  * for the tests: each re-types the raw strings of every cell it visits
+  * with the regular-expression typing [[synType]], as the code did before
+  * [[TypeImage]] and the one-pass `Cells.synType`. The image-backed
+  * functions must return the same values, histograms bit for bit.
+  * Components here are flood-filled cells, partitioned by regrouping the
+  * cells into runs ([[components]], [[partition]]): the reference for the
+  * run-based segmentation; detection clusters with DBSCAN ([[dbscan]]),
+  * the reference for [[Clustering]]'s ε-graph components.
   */
 object ReferenceTyping {
 
-  private def isEmpty(grid: FileGrid, x: Int, y: Int): Boolean = CellOps.isEmpty(grid.cell(x, y))
+  private val IntRe   = """[+-]?\d+""".r
+  private val FloatRe = """[+-]?(\d+[.,]\d*|[.,]\d+)([eE][+-]?\d+)?""".r
+  private val TimeRe  = """\d{1,2}:\d{2}(:\d{2})?""".r
+  private val DateRe  = """\d{1,4}[/\-.]\d{1,2}[/\-.]\d{1,4}""".r
+
+  /** Table 1's typing rules as regular expressions: the specification of
+    * the one-pass `Cells.synType`, which must return the same type for
+    * every string.
+    */
+  def synType(raw: String): Cells.SynType = {
+    import Cells._
+    val v = if (raw == null) "" else raw.trim
+    if (v.isEmpty) Empty
+    else if (TimeRe.matches(v)) TimeSt
+    else if (DateRe.matches(v)) DateSt
+    else if (IntRe.matches(v)) IntegerSt
+    else if (FloatRe.matches(v)) FloatSt
+    else {
+      val letters = v.filter(_.isLetter)
+      if (letters.isEmpty) GenericSt
+      else if (letters.forall(_.isUpper)) UppercaseSt
+      else if (letters.forall(_.isLower)) LowercaseSt
+      else {
+        val words = v.split("""[\s]+""").filter(_.exists(_.isLetter))
+        val title = words.nonEmpty && words.forall { w =>
+          val ls = w.dropWhile(!_.isLetter)
+          ls.nonEmpty && ls.head.isUpper && ls.tail.filter(_.isLetter).forall(_.isLower)
+        }
+        if (title) TitlecaseSt else GenericSt
+      }
+    }
+  }
+
+  private def isEmpty(grid: FileGrid, x: Int, y: Int): Boolean = synType(grid.cell(x, y)) == Cells.Empty
 
   def histogram(grid: FileGrid, box: Rect): Array[Double] = {
     val h = new Array[Double](RegionSimilarity.HistogramBins)
     val bins = RegionSimilarity.BinsPerChannel
     for (y <- math.max(0, box.y0) to math.min(grid.height - 1, box.y1);
          x <- math.max(0, box.x0) to math.min(grid.width - 1, box.x1)) {
-      val (r, g, b) = Cells.synType(grid.cell(x, y)).rgb
+      val (r, g, b) = synType(grid.cell(x, y)).rgb
       h(r / 4) += 1
       h(bins + g / 4) += 1
       h(2 * bins + b / 4) += 1
@@ -34,7 +68,7 @@ object ReferenceTyping {
     val c = new Array[Int](Cells.all.size)
     for (y <- math.max(0, box.y0) to math.min(grid.height - 1, box.y1);
          x <- math.max(0, box.x0) to math.min(grid.width - 1, box.x1))
-      c(Cells.synType(grid.cell(x, y)).code) += 1
+      c(synType(grid.cell(x, y)).code) += 1
     c
   }
 

@@ -115,6 +115,23 @@ class SegmentationSpec extends AnyFunSuite {
     val es = Segmentation.elements(g)
     assert(es.toSet == Set(Rect(0, 0, 0, 1), Rect(2, 0, 2, 0)))
   }
+  test("property: the elements of a ragged grid cover every non-empty cell exactly once") {
+    val cell = Gen.frequency(3 -> Gen.oneOf("", " ", "\t", " \u000B "), 4 -> Gen.oneOf("1", "a", "x y", " 2 "))
+    val genRagged = Gen.choose(0, 10).flatMap(h => Gen.listOfN(h, Gen.choose(0, 10).flatMap(Gen.listOfN(_, cell))))
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(500).withInitialSeed(Seed(8219L))
+    val res = org.scalacheck.Test.check(params, Prop.forAll(genRagged) { rows =>
+      val g = Grid.fromRows("f", rows)
+      val es = Segmentation.elements(g)
+      val covered = es.flatMap(_.cells)
+      val nonEmpty = for ((row, y) <- rows.zipWithIndex; (v, x) <- row.zipWithIndex if v.trim.nonEmpty) yield (x, y)
+      es.forall(e => e.x0 >= 0 && e.x0 <= e.x1 && e.x1 < g.width && e.y0 >= 0 && e.y0 <= e.y1 && e.y1 < g.height) :|
+        "inside the grid" &&
+        (covered.size == covered.distinct.size) :| "pairwise disjoint" &&
+        (covered.toSet == nonEmpty.toSet) :| "union is the non-empty cells"
+    })
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
   test("elements contain only non-empty cells") {
     val g = grid("a|a| ", "a| | ", " | |b")
     for (e <- Segmentation.elements(g); (x, y) <- e.cells)

@@ -4,7 +4,8 @@ import repro.SparkSpec
 import repro.baselines.genetic.GeneticTableRec
 import repro.baselines.tablesense.TableSenseSim
 import repro.corpus.{Corpora, SpreadsheetGen}
-import repro.core.Mondrian
+import repro.corpus.SpreadsheetGen.GoldFile
+import repro.core.{Mondrian, Region}
 import repro.core.CellOps._
 
 /** The seven Table-4 region-detection strategies, smoke-tested end to end. */
@@ -45,19 +46,34 @@ class StrategiesSpec extends SparkSpec {
     }
   }
 
-  // Spark's partitioning must not change a baseline's output: the per-file
-  // detectors run sequentially on the driver give the same boxes. A nonzero
-  // run seed pins the per-file seed derivation inside `recognize`.
+  // Spark's partitioning and the task payload (grid and gold boxes, not the
+  // file) must not change a strategy's output: the per-file detectors run
+  // sequentially on the driver give the same boxes and type counts. Dynamic
+  // Radius is scored here with the per-region IoU of `regionScores`. A
+  // nonzero run seed pins the per-file seed derivation inside `recognize`.
   test("Spark baseline detection equals the per-file detectors run on the driver") {
     val runSeed = 3L
-    val labels = GeneticTableRec.classifyCells(deco, useStyle = true)
+    val p = Strategies.paramsFor("deco")
+    def genetic(useStyle: Boolean): GoldFile => Vector[Region] = {
+      val labels = GeneticTableRec.classifyCells(deco, useStyle)
+      f => Mondrian.regionsFromBoxes(f.grid, GeneticTableRec.recognize(f.grid, labels(f.fileId), runSeed))
+    }
     val model = TableSenseSim.train(fuste, runSeed)
-    val want = Map(
-      "Genetic (XLS)" -> deco.map(f => f.fileId -> GeneticTableRec.recognize(f.grid, labels(f.fileId), runSeed)),
-      "Tablesense" -> deco.map(f => f.fileId -> TableSenseSim.detectFile(f.grid, model)))
-    for ((s, boxes) <- want) {
+    val want: Map[String, GoldFile => Vector[Region]] = Map(
+      "Gold Standard" -> (f => Mondrian.regionsFromBoxes(f.grid, f.regionBoxes)),
+      "Dynamic Radius" -> (f => Mondrian.detectRegionsDynamic(f.grid, p, regions =>
+        if (f.regionBoxes.isEmpty) 0.0
+        else Metrics.regionScores(f.grid, regions.map(_.box), f.regionBoxes).map(_._1).sum / f.regionBoxes.size)._2),
+      "Static Radius" -> (f => Mondrian.detectRegions(f.grid, p)),
+      "Connected Components" -> (f => Mondrian.detectRegionsCC(f.grid)),
+      "Genetic (XLS)" -> genetic(useStyle = true),
+      "Genetic (CSV)" -> genetic(useStyle = false),
+      "Tablesense" -> (f => Mondrian.regionsFromBoxes(f.grid, TableSenseSim.detectFile(f.grid, model))))
+    assert(want.keySet == Strategies.All.toSet)
+    def key(rs: Vector[Region]) = rs.map(r => (r.box, r.counts.toSeq))
+    for ((s, detect) <- want) {
       val got = Strategies.detect(spark, s, "deco", deco, fuste, runSeed)
-      assert(got.view.mapValues(_.map(_.box)).toMap == boxes.toMap, s)
+      assert(got.view.mapValues(key).toMap == deco.map(f => f.fileId -> key(detect(f))).toMap, s)
     }
   }
 
