@@ -74,38 +74,48 @@ object SimilarityFlooding {
     * [[matchingBound]]s (a Hungarian matching each); the first mean below
     * `atLeast` − [[BoundSlack]] is returned without flooding. A returned
     * bound is below `atLeast`, and is not the score.
+    *
+    * This puts the two layouts into a [[LayoutGraph.Table]] and runs the
+    * one scoring kernel, which the inference scan calls on its broadcast
+    * table.
     */
-  def similarity(ga: LayoutGraph, gb: LayoutGraph, p: Params = Params(), atLeast: Double = 0.0): Double = {
-    val u = ga.size; val v = gb.size
+  def similarity(ga: LayoutGraph, gb: LayoutGraph, p: Params = Params(), atLeast: Double = 0.0): Double =
+    similarity(new LayoutGraph.Table(Array(ga.regions, gb.regions)), 0, 1, p, atLeast)
+
+  /** [[similarity]] of layouts x and y of table `t`: the scoring kernel. */
+  private[core] def similarity(t: LayoutGraph.Table, x: Int, y: Int, p: Params, atLeast: Double): Double = {
+    val u = t.size(x); val v = t.size(y)
     if (u == 0 || v == 0) return 0.0
     val size = LayoutGraph.sizeBound(u, v)
     if (size < atLeast) return size
-    val s0 = seed(ga, gb)
+    val s0 = seed(t, x, y)
     // σ⁰ is symmetric bit for bit, so the reverse direction uses its transpose
     lazy val s0t = Array.tabulate(v, u)((j, i) => s0(i)(j))
     if (atLeast > 0.0) {
-      val (ab, ba) = lineBounds(ga, gb, s0)
+      val (ab, ba) = lineBounds(t, x, y, s0)
       val line = (ab + ba) / 2.0
       if (line < atLeast - BoundSlack) return line
-      val matched = (matchingBound(ga, gb, s0) + matchingBound(gb, ga, s0t)) / 2.0
+      val matched = (matchingBound(t, x, y, s0) + matchingBound(t, y, x, s0t)) / 2.0
       if (matched < atLeast - BoundSlack) return matched
     }
-    val scale = math.max(ga.featureScale, gb.featureScale)
-    val dn = normalization(ga, gb)
-    (flood(ga, gb, s0, dn, scale, p) + flood(gb, ga, s0t, dn, scale, p)) / 2.0
+    val scale = math.max(t.featureScale(x), t.featureScale(y))
+    val dn = normalization(u, v)
+    (flood(t, x, y, s0, dn, scale, p) + flood(t, y, x, s0t, dn, scale, p)) / 2.0
   }
 
-  /** σ⁰(i, j): the region-fingerprint similarity of node i of `a` and node
-    * j of `b`.
+  /** σ⁰(i, j): the region-fingerprint similarity of node i of layout x and
+    * node j of layout y, read from the table's region index; it equals
+    * `RegionSimilarity.similarity` of the two regions bit for bit.
     */
-  private[core] def seed(a: LayoutGraph, b: LayoutGraph): Array[Array[Double]] =
-    Array.tabulate(a.size, b.size)((i, j) => RegionSimilarity.similarity(a.regions(i), b.regions(j)))
+  private[core] def seed(t: LayoutGraph.Table, x: Int, y: Int): Array[Array[Double]] = {
+    val a = t.start(x); val b = t.start(y)
+    Array.tabulate(t.size(x), t.size(y))((i, j) => t.index.similarity(a + i, b + j))
+  }
 
   /** D = 2^||Ga| − |Gb||, the neighborhood normalization of every node pair
-    * in both directions.
+    * in both directions, for node counts `u` and `v`.
     */
-  private def normalization(a: LayoutGraph, b: LayoutGraph): Double =
-    math.pow(2.0, math.abs(a.size - b.size).toDouble)
+  private def normalization(u: Int, v: Int): Double = math.pow(2.0, math.abs(u - v).toDouble)
 
   /** Maximum-weight matching total over max(rows, cols). */
   private def matchingAverage(w: Array[Array[Double]]): Double = {
@@ -113,16 +123,18 @@ object SimilarityFlooding {
     total / math.max(w.length, w(0).length)
   }
 
-  /** One flooding direction sim(a, b) from σ⁰ = `s0` (|a| × |b|) and the
-    * neighborhood normalization `dn`.
+  /** One flooding direction sim(x, y) of table `t` from σ⁰ = `s0`
+    * (|x| × |y|) and the neighborhood normalization `dn`.
     *
     * Φ is 0 across directions, and a zero contribution never beats the
     * running maximum, so for a neighbor m of i only the partners n of j
     * whose edge has the direction of (i, m) are scanned.
     */
-  private def flood(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]],
+  private def flood(t: LayoutGraph.Table, x: Int, y: Int, s0: Array[Array[Double]],
                     dn: Double, scale: Double, p: Params): Double = {
-    val u = a.size; val v = b.size
+    val u = t.size(x); val v = t.size(y)
+    val ex = t.edgeStart(x); val ey = t.edgeStart(y)
+    val py = t.start(y) * Alignment.Count
     var sigma = s0.map(_.clone())
     var next  = Array.ofDim[Double](u, v)
     var it = 0
@@ -138,16 +150,17 @@ object SimilarityFlooding {
           var m = 0
           while (m < u) {
             if (m != i) {
-              val e = i * u + m
-              val ma = a.mags(e); val da = a.dists(e)
-              val ns = b.partners(j * Alignment.Count + a.dirs(e))
+              val e = ex + i * u + m
+              val ma = t.mags(e); val da = t.dists(e)
+              val q = py + j * Alignment.Count + t.dirs(e)
               val sm = sigma(m)
               var bestN = -1; var bestPhi = 0.0; var bestContrib = 0.0
-              var k = 0
-              while (k < ns.length) {
-                val n = ns(k)
-                val f = j * v + n
-                val phi = featureSimilarity(ma, da, b.mags(f), b.dists(f), scale)
+              var k = t.partnerStart(q)
+              val end = t.partnerStart(q + 1)
+              while (k < end) {
+                val n = t.partners(k)
+                val f = ey + j * v + n
+                val phi = featureSimilarity(ma, da, t.mags(f), t.dists(f), scale)
                 val contrib = phi * sm(n)
                 if (contrib > bestContrib) { bestContrib = contrib; bestPhi = phi; bestN = n }
                 k += 1
@@ -159,34 +172,36 @@ object SimilarityFlooding {
             }
             m += 1
           }
-          val x = acc / weight
-          val d = x - sigma(i)(j)
+          val s = acc / weight
+          val d = s - sigma(i)(j)
           d2 += d * d
-          next(i)(j) = x
+          next(i)(j) = s
           j += 1
         }
         i += 1
       }
       delta = math.sqrt(d2)
-      val t = sigma; sigma = next; next = t
+      val last = sigma; sigma = next; next = last
       it += 1
     }
     matchingAverage(sigma)
   }
 
-  /** K(i, j): the number of neighbors of node i of `a` whose edge direction
-    * occurs among the edges of node j of `b`.
+  /** K(i, j): the number of neighbors of node i of layout x whose edge
+    * direction occurs among the edges of node j of layout y, from the
+    * per-node direction counts of table `t`.
     */
-  private def reach(a: LayoutGraph, i: Int, b: LayoutGraph, j: Int): Int = {
+  private def reach(t: LayoutGraph.Table, x: Int, i: Int, y: Int, j: Int): Int = {
+    val a = (t.start(x) + i) * Alignment.Count; val b = (t.start(y) + j) * Alignment.Count
+    val ps = t.partnerStart
     var k = 0
     var d = 0
     while (d < Alignment.Count) {
-      if (b.partners(j * Alignment.Count + d).length > 0) k += a.partners(i * Alignment.Count + d).length
+      if (ps(b + d + 1) > ps(b + d)) k += ps(a + d + 1) - ps(a + d)
       d += 1
     }
     k
   }
-
   /** B(i, j) = max(σ⁰, (σ⁰ + K/D)/(1 + K/D)) for σ⁰(i, j) = `s`,
     * K(i, j) = `k` and D = `dn`: an upper bound on every flooding iterate
     * σ(i, j) of one direction.
@@ -201,29 +216,30 @@ object SimilarityFlooding {
     math.max(s, (s + kd) / (1.0 + kd))
   }
 
-  /** Line-maximum bounds on both flooding directions (sim(a, b), sim(b, a)),
-    * from σ⁰ = `s0` (|a| × |b|), in one pass over the node pairs.
+  /** Line-maximum bounds on both flooding directions (sim(x, y), sim(y, x))
+    * of table `t`, from σ⁰ = `s0` (|x| × |y|), in one pass over the node
+    * pairs.
     *
     * The B of a direction are ≥ 0 and bound every iterate (see [[cap]]), so
     * a matching over B weighs at most the sum of B's row maxima, and at most
     * the sum of its column maxima. A direction's bound is the smaller sum
-    * over max(|a|, |b|): never below its [[matchingBound]], and never above
+    * over max(|x|, |y|): never below its [[matchingBound]], and never above
     * the node-count bound `LayoutGraph.sizeBound`, since each maximum is
-    * ≤ 1. Each sum runs over its own line's index order, so swapping `a`
-    * and `b` swaps the two results bit for bit.
+    * ≤ 1. Each sum runs over its own line's index order, so swapping `x`
+    * and `y` swaps the two results bit for bit.
     */
-  private[core] def lineBounds(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]]): (Double, Double) = {
-    val u = a.size; val v = b.size
-    val dn = normalization(a, b)
-    // row and column maxima of B in direction a → b (u × v) and b → a (v × u)
+  private[core] def lineBounds(t: LayoutGraph.Table, x: Int, y: Int, s0: Array[Array[Double]]): (Double, Double) = {
+    val u = t.size(x); val v = t.size(y)
+    val dn = normalization(u, v)
+    // row and column maxima of B in direction x → y (u × v) and y → x (v × u)
     val rowAB = new Array[Double](u); val colAB = new Array[Double](v)
     val rowBA = new Array[Double](v); val colBA = new Array[Double](u)
     var i = 0
     while (i < u) {
       var j = 0
       while (j < v) {
-        val ab = cap(s0(i)(j), reach(a, i, b, j), dn)
-        val ba = cap(s0(i)(j), reach(b, j, a, i), dn)
+        val ab = cap(s0(i)(j), reach(t, x, i, y, j), dn)
+        val ba = cap(s0(i)(j), reach(t, y, j, x, i), dn)
         if (ab > rowAB(i)) rowAB(i) = ab
         if (ab > colAB(j)) colAB(j) = ab
         if (ba > rowBA(j)) rowBA(j) = ba
@@ -244,13 +260,14 @@ object SimilarityFlooding {
     s
   }
 
-  /** Matching bound on one flooding direction sim(a, b), from σ⁰ = `s0`
-    * (|a| × |b|): the maximum-weight matching average over B (see [[cap]]).
-    * Every iterate, σ⁰ included, is at most B, so this bounds the score.
+  /** Matching bound on one flooding direction sim(x, y) of table `t`, from
+    * σ⁰ = `s0` (|x| × |y|): the maximum-weight matching average over B (see
+    * [[cap]]). Every iterate, σ⁰ included, is at most B, so this bounds the
+    * score.
     */
-  private[core] def matchingBound(a: LayoutGraph, b: LayoutGraph, s0: Array[Array[Double]]): Double = {
-    val dn = normalization(a, b)
-    matchingAverage(Array.tabulate(a.size, b.size)((i, j) => cap(s0(i)(j), reach(a, i, b, j), dn)))
+  private[core] def matchingBound(t: LayoutGraph.Table, x: Int, y: Int, s0: Array[Array[Double]]): Double = {
+    val dn = normalization(t.size(x), t.size(y))
+    matchingAverage(Array.tabulate(t.size(x), t.size(y))((i, j) => cap(s0(i)(j), reach(t, x, i, y, j), dn)))
   }
 }
 

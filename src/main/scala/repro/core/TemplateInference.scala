@@ -15,13 +15,15 @@ import scala.collection.mutable
   *     region order) form one layout class, and steps 1–2 run on one
   *     representative per class: scoring reads nothing else, so every file
   *     pair of two classes has the class pair's score;
-  *  1. all-pairs region similarity (broadcast closed-form fingerprint
-  *     index) finds the class pairs with a region pair of similarity ≥ τ_r
-  *     — candidate class pairs, including (X, X) when class X holds 2+
-  *     files — and each candidate gets its similarity-flooding layout
-  *     comparison where it is found, in one parallel Spark map; the
-  *     comparison stops early when its bound cascade (node count, then
-  *     flooding bounds) rules out sim ≥ τ_f;
+  *  1. all-pairs region similarity (the closed-form fingerprint index of
+  *     a broadcast [[LayoutGraph.Table]] of the representatives) finds the
+  *     class pairs with a region pair of similarity ≥ τ_r — candidate
+  *     class pairs, including (X, X) when class X holds 2+ files — and each
+  *     candidate gets its similarity-flooding layout comparison where it is
+  *     found, in one parallel Spark map; the comparison stops early when
+  *     its bound cascade (node count, then flooding bounds) rules out
+  *     sim ≥ τ_f, and the map returns only the pairs ≥ τ_f and its count
+  *     of candidate file pairs;
   *  2. class pairs with layout similarity ≥ τ_f expand on the driver to the
   *     file pairs they stand for, the edges of the file graph; templates are
   *     its connected components (union-find on the driver — the file graph
@@ -50,10 +52,8 @@ object TemplateInference {
     */
   def candidatePairs(spark: SparkSession, regions: Vector[Region], tauRegion: Double): Vector[(String, String)] = {
     val files = regions.groupBy(_.fileId).toArray.sortBy(_._1)
-    val classes = layoutClasses(files.map(_._2))
-    val reps = classes.map { c => val (id, rs) = files(c(0)); LayoutGraph.build(id, rs) }
-    // at τ_f = +∞ the node-count stage rejects every pair before σ⁰ is built
-    val (cands, _) = scan(spark, reps, classes.map(_.length > 1), Params(tauRegion, Double.PositiveInfinity))
+    val (classes, shipped) = payload(files.map(_._2))
+    val (cands, _, _) = scan(spark, shipped, Params(tauRegion), scored = false)
     cands.flatMap(filePairs(classes, _)).sorted.iterator
       .map(k => (files(first(k))._1, files(second(k))._1)).toVector
   }
@@ -86,33 +86,42 @@ object TemplateInference {
     else for (a <- xs.iterator; b <- ys.iterator) yield if (a < b) pack(a, b) else pack(b, a)
   }
 
-  /** Candidate pairs of the layout classes whose representatives are
-    * `reps(0)`, `reps(1)`, …, as packed class-index pairs (X, Y), X ≤ Y, in
-    * no particular order; (X, X) only when `shared(X)`, i.e. X holds 2+
-    * files. Beside each candidate is its
-    * `SimilarityFlooding.similarity(reps(X), reps(Y), p.flooding, p.tauLayout)`:
-    * the score when it is ≥ τ_f, an upper bound below τ_f otherwise.
-    *
-    * One broadcast holds the layouts, their region offsets, the `shared`
-    * flags and the closed-form terms of all regions (124 bytes each) as one
-    * [[RegionSimilarity.Index]]; it is destroyed once the results are
-    * collected. Task t of T owns the rows X = t, t + T, …, which balances
-    * the shrinking rows, and compares class X with every class Y ≥ X until
-    * the first region pair ≥ τ_r, so each candidate is found once and
-    * scored where it is found; nothing is shuffled. A row's cost is mostly
-    * its flooding, which varies with the layouts, so T is
-    * 4 × `defaultParallelism`: with one task per core, the few heavy rows
-    * of a large template pile up in one task.
+  /** The layout classes of the files whose regions are `files(0)`,
+    * `files(1)`, … and what the scan broadcasts of them: the table of one
+    * representative per class (its first file) and the class sizes.
     */
-  private def scan(spark: SparkSession, reps: Array[LayoutGraph], shared: Array[Boolean],
-                   p: Params): (Array[Long], Array[Double]) = {
-    if (reps.isEmpty) return (Array.empty, Array.empty)
+  private[core] def payload(files: Array[Vector[Region]]): (Array[Array[Int]], (LayoutGraph.Table, Array[Int])) = {
+    val classes = layoutClasses(files)
+    (classes, (new LayoutGraph.Table(classes.map(c => files(c(0)))), classes.map(_.length)))
+  }
+
+  /** The candidate pairs of the layout classes of `payload`, as packed
+    * class-index pairs (X, Y), X ≤ Y, with (X, X) only when X holds 2+
+    * files, and the number of candidate file pairs they stand for. With
+    * `scored`, only the pairs whose
+    * `SimilarityFlooding.similarity(table, X, Y, p.flooding, p.tauLayout)`
+    * is ≥ τ_f are returned, beside that score; without, every pair is
+    * returned, unscored (NaN).
+    *
+    * The payload is broadcast once, as primitive arrays only, and
+    * destroyed once the results are collected. Task t of T owns the rows
+    * X = t, t + T, …, which balances the shrinking rows, and compares
+    * class X with every class Y ≥ X until the first region pair ≥ τ_r, so
+    * each candidate is found once and scored where it is found; nothing is
+    * shuffled, and a task returns its kept pairs and its count of candidate
+    * file pairs. A row's cost is mostly its flooding, which varies with the
+    * layouts, so T is 4 × `defaultParallelism`: with one task per core,
+    * the few heavy rows of a large template pile up in one task.
+    */
+  private def scan(spark: SparkSession, payload: (LayoutGraph.Table, Array[Int]), p: Params,
+                   scored: Boolean): (Array[Long], Array[Double], Long) = {
+    if (payload._2.isEmpty) return (Array.empty, Array.empty, 0L)
     val sc = spark.sparkContext
-    val start = reps.scanLeft(0)(_ + _.size)
-    val bc = sc.broadcast((reps, start, shared, new RegionSimilarity.Index(reps.flatMap(_.regions))))
+    val bc = sc.broadcast(payload)
     val tasks = 4 * sc.defaultParallelism
     val found = sc.parallelize(0 until tasks, tasks).map { t =>
-      val (reps, start, shared, index) = bc.value
+      val (table, sizes) = bc.value
+      val start = table.start; val index = table.index
       def matches(a: Int, b: Int): Boolean = {
         var i = start(a)
         while (i < start(a + 1)) {
@@ -126,22 +135,25 @@ object TemplateInference {
         false
       }
       val keys = Array.newBuilder[Long]; val values = Array.newBuilder[Double]
+      var candidateFilePairs = 0L
       var a = t
-      while (a < reps.length) {
-        var b = if (shared(a)) a else a + 1
-        while (b < reps.length) {
+      while (a < sizes.length) {
+        var b = if (sizes(a) > 1) a else a + 1
+        while (b < sizes.length) {
           if (matches(a, b)) {
-            keys += pack(a, b)
-            values += SimilarityFlooding.similarity(reps(a), reps(b), p.flooding, p.tauLayout)
+            val n = sizes(a).toLong
+            candidateFilePairs += (if (a == b) n * (n - 1) / 2 else n * sizes(b))
+            val s = if (scored) SimilarityFlooding.similarity(table, a, b, p.flooding, p.tauLayout) else Double.NaN
+            if (!scored || s >= p.tauLayout) { keys += pack(a, b); values += s }
           }
           b += 1
         }
         a += tasks
       }
-      (keys.result(), values.result())
+      (keys.result(), values.result(), candidateFilePairs)
     }.collect()
     bc.destroy()
-    (found.flatMap(_._1), found.flatMap(_._2))
+    (found.flatMap(_._1), found.flatMap(_._2), found.iterator.map(_._3).sum)
   }
 
   /** Full inference over per-file layout graphs (steps 1–2), on one
@@ -151,10 +163,10 @@ object TemplateInference {
     */
   def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
     val files = layouts.sortBy(_.fileId).toArray
-    val classes = layoutClasses(files.map(_.regions))
-    val (cands, scores) = scan(spark, classes.map(c => files(c(0))), classes.map(_.length > 1), p)
+    val (classes, shipped) = payload(files.map(_.regions))
+    val (cands, scores, candidateFilePairs) = scan(spark, shipped, p, scored = true)
     val scoreOf = mutable.LongMap.empty[Double]
-    for (n <- cands.indices if scores(n) >= p.tauLayout) scoreOf(cands(n)) = scores(n)
+    for (n <- cands.indices) scoreOf(cands(n)) = scores(n)
     val classOf = new Array[Int](files.length)
     for ((c, x) <- classes.zipWithIndex; i <- c) classOf(i) = x
     val keys = scoreOf.keysIterator.flatMap(filePairs(classes, _)).toArray
@@ -164,10 +176,6 @@ object TemplateInference {
       val x = classOf(a); val y = classOf(b)
       (files(a).fileId, files(b).fileId, scoreOf(pack(math.min(x, y), math.max(x, y))))
     }
-    val candidateFilePairs = cands.iterator.map { k =>
-      val n = classes(first(k)).length.toLong
-      if (first(k) == second(k)) n * (n - 1) / 2 else n * classes(second(k)).length
-    }.sum
     Result(templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout), edges, candidateFilePairs)
   }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.core.Geometry.Rect
 import repro.corpus.Corpora
 import repro.corpus.SpreadsheetGen.GoldFile
 import repro.eval.Strategies
@@ -14,8 +15,10 @@ import repro.eval.Strategies
   * cross-file region pair must score as under the 192-bin NCC
   * ([[ReferenceCandidates]]), and every candidate pair within the
   * node-count bound 0.7 is scored by [[ReferenceFlooding]], which
-  * inference must reproduce exactly; on each of those pairs the cheap
-  * line bound of the flooding must be at least the matching bound.
+  * inference must reproduce exactly; on each of those pairs σ⁰ read from
+  * the region index must equal the regions' similarity as raw bits, and
+  * the cheap line bound of the flooding must be at least the matching
+  * bound.
   */
 class FullCorpusFloodingSpec extends SparkSpec {
   import FullCorpusFloodingSpec.{Case, regionKey}
@@ -54,12 +57,14 @@ class FullCorpusFloodingSpec extends SparkSpec {
     test(s"$name: every file's regions equal the cell-by-cell reference's") {
       val cs = c()
       val p = Strategies.paramsFor(cs.dataset)
-      val detect: GoldFile => Vector[Region] = cs.strategy match {
-        case "Static Radius"  => f => ReferenceTyping.detectRegions(f.grid, p)
-        case "Dynamic Radius" => f => ReferenceTyping.detectRegionsDynamic(f.grid, p, f.regionBoxes)
+      val detect: (FileGrid, Vector[Rect]) => Vector[Region] = cs.strategy match {
+        case "Static Radius"  => (grid, _) => ReferenceTyping.detectRegions(grid, p)
+        case "Dynamic Radius" => (grid, gold) => ReferenceTyping.detectRegionsDynamic(grid, p, gold)
       }
-      val want = spark.sparkContext.parallelize(cs.corpus, spark.sparkContext.defaultParallelism * 4)
-        .map(f => f.fileId -> detect(f).map(regionKey))
+      // the tasks get each file's grid and gold boxes, as in Strategies.detect
+      val want = spark.sparkContext
+        .parallelize(cs.corpus.map(f => (f.grid, f.regionBoxes)), spark.sparkContext.defaultParallelism * 4)
+        .map { case (grid, gold) => grid.fileId -> detect(grid, gold).map(regionKey) }
         .collect().toMap
       val got = cs.layouts.map(g => g.fileId -> g.regions.map(regionKey)).toMap
       val diffs = cs.files.filter(id => got(id) != want(id))
@@ -116,17 +121,39 @@ class FullCorpusFloodingSpec extends SparkSpec {
       // per pair: line bound − matching bound, per direction and for the mean
       val gaps = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
         .map { case (a, b) =>
-          val ga = bc.value(a); val gb = bc.value(b)
-          val s0 = SimilarityFlooding.seed(ga, gb)
-          val (lineAB, lineBA) = SimilarityFlooding.lineBounds(ga, gb, s0)
-          val matchAB = SimilarityFlooding.matchingBound(ga, gb, s0)
-          val matchBA = SimilarityFlooding.matchingBound(gb, ga, SimilarityFlooding.seed(gb, ga))
+          val t = new LayoutGraph.Table(Array(bc.value(a).regions, bc.value(b).regions))
+          val s0 = SimilarityFlooding.seed(t, 0, 1)
+          val (lineAB, lineBA) = SimilarityFlooding.lineBounds(t, 0, 1, s0)
+          val matchAB = SimilarityFlooding.matchingBound(t, 0, 1, s0)
+          val matchBA = SimilarityFlooding.matchingBound(t, 1, 0, SimilarityFlooding.seed(t, 1, 0))
           (a, b) -> Seq(lineAB - matchAB, lineBA - matchBA, (lineAB + lineBA) / 2.0 - (matchAB + matchBA) / 2.0).min
         }
         .collect()
       val unsound = gaps.filter(_._2 < -1e-12)
       assert(gaps.length == pairs.size && pairs.nonEmpty)
       assert(unsound.isEmpty, s"${unsound.length} of ${pairs.size} pairs, e.g. ${unsound.take(3).toSeq}")
+    }
+
+    test(s"$name: σ⁰ read from the region index equals the regions' similarity on every size-bound survivor") {
+      val cs = c()
+      // one table of every layout, as the scan broadcasts one of every class
+      val table = new LayoutGraph.Table(cs.layouts.map(_.regions).toArray)
+      val bc = spark.sparkContext.broadcast((cs.layouts, cs.layouts.map(_.fileId).zipWithIndex.toMap, table))
+      val pairs = cs.reference.keys.toVector
+      // per pair: node pairs compared, node pairs whose bits differ
+      val rows = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
+        .map { case (a, b) =>
+          val (layouts, at, t) = bc.value
+          val x = at(a); val y = at(b)
+          val s0 = SimilarityFlooding.seed(t, x, y)
+          val differ = for (i <- s0.indices; j <- s0(i).indices
+            if java.lang.Double.doubleToRawLongBits(s0(i)(j)) != java.lang.Double.doubleToRawLongBits(
+              RegionSimilarity.similarity(layouts(x).regions(i), layouts(y).regions(j)))) yield (i, j)
+          (a, b, layouts(x).size * layouts(y).size, differ)
+        }.collect()
+      val bad = rows.filter(_._4.nonEmpty)
+      assert(rows.length == pairs.size && rows.map(_._3.toLong).sum > pairs.size)
+      assert(bad.isEmpty, s"${bad.length} of ${pairs.size} pairs differ, e.g. ${bad.take(3).toSeq}")
     }
 
     test(s"$name: infer keeps the reference's edges and partition at τ_f = $tauLayout") {

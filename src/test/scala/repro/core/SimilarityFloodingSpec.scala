@@ -138,21 +138,27 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val l = layoutOf("a", g, boxes: _*)
     val n = boxes.size
     assert(l.size == n)
+    // the layout's edge table sits after a 2-node layout's 4 entries
+    val t = new LayoutGraph.Table(Array(l.regions.take(2), l.regions))
+    assert(t.size(1) == n && t.start(1) == 2 && t.edgeStart(1) == 4)
     for (i <- 0 until n; j <- 0 until n if i != j) {
       val r = Geometry.spatialRel(boxes(i), boxes(j))
-      val k = i * n + j
-      assert((l.dirs(k), l.mags(k), l.dists(k)) == ((r.direction.code, r.magnitude.toDouble, r.distance)), s"edge ($i, $j)")
+      val k = t.edgeStart(1) + i * n + j
+      assert((t.dirs(k).toInt, t.mags(k), t.dists(k)) == ((r.direction.code, r.magnitude.toDouble, r.distance)), s"edge ($i, $j)")
     }
-    for (i <- 0 until n; d <- Alignment.values)
-      assert(l.partners(i * Alignment.Count + d.code).toSeq ==
+    for (i <- 0 until n; d <- Alignment.values) {
+      val q = (t.start(1) + i) * Alignment.Count + d.code
+      assert(t.partners.slice(t.partnerStart(q), t.partnerStart(q + 1)).toSeq ==
              (0 until n).filter(j => j != i && Geometry.alignment(boxes(i), boxes(j)) == d), s"partners of $i in $d")
+    }
   }
 
   test("zero feature scale: two regions touching at a corner") {
     // N edges of magnitude 0 and distance 0 in both layouts, so Φ = 1
     val l1 = layoutOf("a", grid("1| ", " |x"), Rect(0, 0, 0, 0), Rect(1, 1, 1, 1))
     val l2 = layoutOf("b", grid(" |2", "y| "), Rect(1, 0, 1, 0), Rect(0, 1, 0, 1))
-    assert(l1.featureScale == 0.0 && l2.featureScale == 0.0)
+    val t = new LayoutGraph.Table(Array(l1.regions, l2.regions))
+    assert(t.featureScale(0) == 0.0 && t.featureScale(1) == 0.0)
     def bits(x: Double) = java.lang.Double.doubleToLongBits(x)
     for ((a, b) <- Seq(l1 -> l1, l1 -> l2, l2 -> l1)) {
       val ref = ReferenceFlooding.similarity(a, b)
@@ -242,10 +248,11 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     * line bound ≤ node-count bound (which rounds differently).
     */
   private def boundCascade(a: LayoutGraph, b: LayoutGraph, p: SimilarityFlooding.Params): Prop = {
-    val s0 = SimilarityFlooding.seed(a, b)
-    val (lineAB, lineBA) = SimilarityFlooding.lineBounds(a, b, s0)
-    val matchAB = SimilarityFlooding.matchingBound(a, b, s0)
-    val matchBA = SimilarityFlooding.matchingBound(b, a, SimilarityFlooding.seed(b, a))
+    val t = new LayoutGraph.Table(Array(a.regions, b.regions))
+    val s0 = SimilarityFlooding.seed(t, 0, 1)
+    val (lineAB, lineBA) = SimilarityFlooding.lineBounds(t, 0, 1, s0)
+    val matchAB = SimilarityFlooding.matchingBound(t, 0, 1, s0)
+    val matchBA = SimilarityFlooding.matchingBound(t, 1, 0, SimilarityFlooding.seed(t, 1, 0))
     val refAB = ReferenceFlooding.simAsym(a, b, p); val refBA = ReferenceFlooding.simAsym(b, a, p)
     val size = LayoutGraph.sizeBound(a.size, b.size) + 1e-12
     def chain(name: String, ref: Double, matched: Double, line: Double): Prop =
@@ -263,7 +270,8 @@ class SimilarityFloodingSpec extends AnyFunSuite {
       // atLeast = the node-count bound passes it, and the line stage rejects
       // the pair when its bound falls short by more than the 1e-9 slack
       val second = SimilarityFlooding.similarity(a, b, p, atLeast = size)
-      val (ab, ba) = SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b))
+      val t = new LayoutGraph.Table(Array(a.regions, b.regions))
+      val (ab, ba) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
       val line = (ab + ba) / 2.0
       boundCascade(a, b, p) && (first == size) :| s"atLeast = 2 returned $first" &&
         (line >= size - 1e-9 || second == line) :| s"atLeast = $size returned $second, line bound $line"
@@ -281,8 +289,9 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val b = LayoutGraph.build("b", Vector(region("b", Rect(0, 0, 2, 0), 1, 2, 1)))
     val s = RegionSimilarity.similarity(a.regions(0), b.regions(0))
     assert(s > 0.0 && s < 1.0)
-    assert(SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b)) == ((s, s)))
-    assert(SimilarityFlooding.matchingBound(a, b, SimilarityFlooding.seed(a, b)) == s)
+    val t = new LayoutGraph.Table(Array(a.regions, b.regions))
+    assert(SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1)) == ((s, s)))
+    assert(SimilarityFlooding.matchingBound(t, 0, 1, SimilarityFlooding.seed(t, 0, 1)) == s)
     assert(SimilarityFlooding.similarity(a, b) == s)
     assert(SimilarityFlooding.similarity(a, b, atLeast = 1.0) == s)
     assert(boundCascade(a, b, SimilarityFlooding.Params()).apply(Gen.Parameters.default).success)
@@ -296,9 +305,10 @@ class SimilarityFloodingSpec extends AnyFunSuite {
       region("b", Rect(3, 0, 3, 3), 0, 1, 4)))
     val best = b.regions.map(RegionSimilarity.similarity(a.regions(0), _)).max / 3.0
     for ((x, y) <- Seq(a -> b, b -> a)) {
-      val (xy, yx) = SimilarityFlooding.lineBounds(x, y, SimilarityFlooding.seed(x, y))
+      val t = new LayoutGraph.Table(Array(x.regions, y.regions))
+      val (xy, yx) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
       assert(xy == best && yx == best, s"${x.fileId} × ${y.fileId}")
-      assert(SimilarityFlooding.matchingBound(x, y, SimilarityFlooding.seed(x, y)) == best)
+      assert(SimilarityFlooding.matchingBound(t, 0, 1, SimilarityFlooding.seed(t, 0, 1)) == best)
       assert(SimilarityFlooding.similarity(x, y) == best)
       assert(boundCascade(x, y, SimilarityFlooding.Params()).apply(Gen.Parameters.default).success)
     }
@@ -311,7 +321,8 @@ class SimilarityFloodingSpec extends AnyFunSuite {
       region("b", Rect(3, 0, 3, 3), 0, 1, 4)))
     // no σ⁰ reaches 1, so the line bound and the score are below 1/3
     val size = LayoutGraph.sizeBound(1, 3)
-    val (ab, ba) = SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b))
+    val t = new LayoutGraph.Table(Array(a.regions, b.regions))
+    val (ab, ba) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
     assert((ab + ba) / 2.0 < size && size < 0.99)
     for ((x, y) <- Seq(a -> b, b -> a)) {
       val got = SimilarityFlooding.similarity(x, y, atLeast = 0.99)
@@ -324,12 +335,13 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     // shares a direction, so B = σ⁰ = [[1, s], [1, s]] and flooding is inert
     val a = LayoutGraph.build("a", Vector(region("a", Rect(0, 0, 1, 0), 3, 1), region("a", Rect(0, 2, 1, 2), 3, 1)))
     val b = LayoutGraph.build("b", Vector(region("b", Rect(0, 0, 0, 1), 3, 1), region("b", Rect(2, 0, 2, 1), 1, 2, 1)))
-    assert(a.dirs(1) == H.code && b.dirs(1) == V.code)
+    val t = new LayoutGraph.Table(Array(a.regions, b.regions))
+    assert(t.dirs(1) == H.code && t.dirs(t.edgeStart(1) + 1) == V.code)
     val s = RegionSimilarity.similarity(a.regions(0), b.regions(1))
     assert(s < 0.9)
     // rows sum to 2, columns to 1 + s, in both directions
     val want = (1.0 + s) / 2.0
-    val (ab, ba) = SimilarityFlooding.lineBounds(a, b, SimilarityFlooding.seed(a, b))
+    val (ab, ba) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
     assert(math.abs(ab - want) < 1e-15 && math.abs(ba - want) < 1e-15, s"$ab, $ba vs $want")
     assert(math.abs(SimilarityFlooding.similarity(a, b) - want) < 1e-15)
     assert(SimilarityFlooding.similarity(a, b, atLeast = 0.99) == (ab + ba) / 2.0)

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.lang.reflect.Modifier
+import org.apache.spark.serializer.JavaSerializer
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
@@ -7,6 +9,7 @@ import repro.SparkSpec
 import repro.core.Geometry.Rect
 import repro.corpus.{Corpora, SpreadsheetGen}
 import repro.eval.{Metrics, Strategies}
+import scala.collection.mutable
 
 /** Template inference pipeline (paper §4.4, Algorithm 1) on Spark. */
 class TemplateInferenceSpec extends SparkSpec {
@@ -123,6 +126,50 @@ class TemplateInferenceSpec extends SparkSpec {
     val res = org.scalacheck.Test.check(params, prop)
     assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
     assert(copyEdges > 0, "no edge between a layout and its copy")
+  }
+
+  test("candidatePairs counts the file pairs of candidate classes: 3 + 1 + 6") {
+    def file(id: String, boxes: Rect*): LayoutGraph =
+      LayoutGraph.build(id, boxes.toVector.zipWithIndex.map { case (box, k) =>
+        Region(id, box, Vector(box), Array.tabulate(Cells.all.size)(t => (t + 1) * (k + 1) % 7), 2)
+      })
+    // x1–x3 share one layout, y1–y2 another whose first region matches
+    // theirs; z's lone region has no cells, so it matches nothing
+    val xs = Seq("x1", "x2", "x3").map(file(_, Rect(0, 0, 1, 0), Rect(0, 2, 1, 4)))
+    val ys = Seq("y1", "y2").map(file(_, Rect(0, 0, 1, 0), Rect(3, 3, 3, 3), Rect(5, 0, 5, 0)))
+    val z = LayoutGraph.build("z", Vector(Region("z", Rect(0, 0, 0, 0), Vector.empty, new Array[Int](Cells.all.size), 0)))
+    val corpus = (xs ++ ys :+ z).toVector
+    val got = TemplateInference.infer(spark, corpus, TemplateInference.Params(tauLayout = 0.7))
+    assert(got.candidatePairs == 3 + 1 + 6)
+    assert(TemplateInference.candidatePairs(spark, corpus.flatMap(_.regions), 0.75).size == 10)
+    assert(ReferenceCandidates.fileLevel(corpus, TemplateInference.Params(tauLayout = 0.7)).candidatePairs == 10)
+  }
+
+  test("the scan's payload is primitive arrays and scores the same after Java serialization") {
+    val (classes, shipped) = TemplateInference.payload(layouts.sortBy(_.fileId).map(_.regions).toArray)
+    // every object reachable from the payload through its fields
+    val reached = mutable.LinkedHashSet.empty[Class[_]]
+    val seen = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[AnyRef, java.lang.Boolean])
+    def walk(o: AnyRef): Unit = if (o != null && seen.add(o)) {
+      reached += o.getClass
+      for (c <- Iterator.iterate[Class[_]](o.getClass)(_.getSuperclass).takeWhile(_ != null);
+           f <- c.getDeclaredFields if !Modifier.isStatic(f.getModifiers) && !f.getType.isPrimitive) {
+        f.setAccessible(true); walk(f.get(o))
+      }
+    }
+    walk(shipped)
+    val (arrays, objects) = reached.partition(_.isArray)
+    assert(objects.toSet == Set(classOf[(_, _)], classOf[LayoutGraph.Table], classOf[RegionSimilarity.Index]))
+    assert(arrays.forall(_.getComponentType.isPrimitive), arrays)
+
+    val ser = new JavaSerializer(spark.sparkContext.getConf).newInstance()
+    val (table, sizes) = ser.deserialize[(LayoutGraph.Table, Array[Int])](ser.serialize(shipped))
+    assert(sizes.toSeq == shipped._2.toSeq && sizes.sum == layouts.size)
+    def bits(t: LayoutGraph.Table, x: Int, y: Int, tau: Double) =
+      java.lang.Double.doubleToRawLongBits(SimilarityFlooding.similarity(t, x, y, SimilarityFlooding.Params(), tau))
+    val pairs = for (x <- classes.indices; y <- x until classes.length; tau <- Seq(0.0, 0.7, 0.99)) yield (x, y, tau)
+    val differ = pairs.filter { case (x, y, tau) => bits(table, x, y, tau) != bits(shipped._1, x, y, tau) }
+    assert(pairs.size > 100 && differ.isEmpty, s"${differ.size} of ${pairs.size} differ, e.g. ${differ.take(3)}")
   }
 
   test("gold regions + high threshold recover the planned templates well") {
