@@ -21,6 +21,63 @@ final case class FileGrid(fileId: String, rows: Array[Array[String]]) {
     * serialized: a task that receives the grid types its rows once.
     */
   @transient lazy val image: TypeImage = TypeImage(this)
+
+  /** Java serialization writes the grid in its packed form (see
+    * [[FileGrid.Packed]]) and reads it back as a new grid.
+    */
+  private def writeReplace(): AnyRef = FileGrid.pack(this)
+}
+
+object FileGrid {
+
+  /** A grid as Java serialization writes it: the width of each row, the
+    * length of each cell in row-major order, and all cell text in one
+    * string. That is a handful of objects however many cells the grid has,
+    * where the rows as they are would be one `String` per cell (half a
+    * million on the Deco-like corpus, most of them empty). Rows keep their
+    * own widths, so a ragged grid built with the constructor round-trips.
+    */
+  @SerialVersionUID(1L)
+  private final class Packed(fileId: String, widths: Array[Int], lengths: Array[Int], text: String)
+      extends Serializable {
+    private def readResolve(): AnyRef = {
+      var at = 0
+      var c  = 0
+      FileGrid(fileId, widths.map { w =>
+        val row = new Array[String](w)
+        var x = 0
+        while (x < w) {
+          val n = lengths(c)
+          row(x) = if (n == 0) "" else text.substring(at, at + n)
+          at += n; c += 1; x += 1
+        }
+        row
+      })
+    }
+  }
+
+  /** One pass over the cells: each is read once, most of them from cache
+    * misses, so the text buffer grows rather than being sized first.
+    */
+  private def pack(g: FileGrid): Packed = {
+    val widths  = g.rows.map(_.length)
+    val lengths = new Array[Int](widths.sum)
+    val text    = new java.lang.StringBuilder
+    var c = 0
+    var y = 0
+    while (y < g.height) {
+      val row = g.rows(y)
+      var x = 0
+      while (x < row.length) {
+        val n = row(x).length
+        if (n != 0) text.append(row(x))
+        lengths(c) = n
+        c += 1; x += 1
+      }
+      y += 1
+    }
+    new Packed(g.fileId, widths, lengths, text.toString)
+  }
 }
 
 object Grid {

@@ -1,7 +1,7 @@
 package repro.corpus
 
 import scala.util.Random
-import repro.core.{FileGrid}
+import repro.core.FileGrid
 import repro.core.Geometry.Rect
 
 /** Synthetic multiregion spreadsheet generator.
@@ -85,13 +85,12 @@ object SpreadsheetGen {
 
   /** A generated file with its gold standard. */
   final case class GoldFile(fileId: String, templateId: String, outlier: Boolean,
-                            rows: Array[Array[String]], roles: Array[Array[Byte]],
+                            grid: FileGrid, roles: Array[Array[Byte]],
                             bold: Array[Array[Boolean]], regions: Vector[GoldRegion]) {
-    /** The file's grid, built once so that its type image is too; not
-      * serialized. Detection ships this grid, not the file, to its tasks,
-      * so `roles` and `bold` stay on the driver.
+    /** The file's cells; the grid owns them. Detection ships the grid, not
+      * the file, to its tasks, so `roles` and `bold` stay on the driver.
       */
-    @transient lazy val grid: FileGrid = FileGrid(fileId, rows)
+    def rows: Array[Array[String]] = grid.rows
     def regionBoxes: Vector[Rect] = regions.map(_.box)
   }
 
@@ -340,6 +339,6 @@ object SpreadsheetGen {
       y += bandHeight + spec.bandGap + rnd.nextInt(2) // inter-band gap jitter
     }
     val (rows, roles, bold) = c.materialize(fileId)
-    GoldFile(fileId, spec.templateId, outlier, rows, roles, bold, regions.result())
+    GoldFile(fileId, spec.templateId, outlier, FileGrid(fileId, rows), roles, bold, regions.result())
   }
 }

@@ -1,9 +1,17 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream, OutputStream}
+import org.apache.spark.SparkConf
+import org.apache.spark.serializer.JavaSerializer
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CellOps._
 
-/** CSV parsing and grid normalization (paper §4.1). */
+/** CSV parsing, grid normalization (paper §4.1) and the grid's serialized
+  * form.
+  */
 class GridSpec extends AnyFunSuite {
 
   /** The fields of one csv line: the only row [[Grid.fromCsv]] reads. */
@@ -90,5 +98,107 @@ class GridSpec extends AnyFunSuite {
   test("image dimensions equal M rows x N columns") {
     val g = Grid.fromCsv("f", "1,2,3,4\n5,6,7,8\n9,10,11,12")
     assert(g.height == 3 && g.width == 4)
+  }
+
+  // ------------------------------------------------- serialized form
+
+  private def holds(prop: Prop): Unit = {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(300).withInitialSeed(Seed(20140L))
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
+
+  private val sparkSer = new JavaSerializer(new SparkConf(false)).newInstance()
+
+  private def viaSpark(g: FileGrid): FileGrid = sparkSer.deserialize[FileGrid](sparkSer.serialize(g))
+
+  private def viaStream(g: FileGrid): FileGrid = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(g); out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[FileGrid]
+  }
+
+  /** Strings of any UTF-16 code units, lone surrogates included. */
+  private val anyStr: Gen[String] = Gen.stringOf(Gen.choose(Char.MinValue, Char.MaxValue))
+
+  /** Cells that csv files and the type automata find awkward. */
+  private val genCell: Gen[String] = Gen.frequency(
+    6 -> Gen.const(""),
+    2 -> Gen.oneOf(" ", "  ", "\t", " \r\n "),
+    2 -> Gen.oneOf("\u0000", "a\u0000b", "\"", "say \"hi\"", "a,b", ",", "line 1\nline 2", "b,\r\nc", "\r"),
+    2 -> Gen.oneOf("\uD83D\uDE00", "x\uD835\uDC9Cy", "\u00e9t\u00e9", "\uD800", "\uDFFF"),
+    4 -> Gen.oneOf("1", "2.5", "1/2/2003", "12:30", "MWH", "rate", "Firm Sales", "aVg/day"),
+    2 -> Gen.asciiStr,
+    1 -> anyStr)
+
+  /** Ragged grids: each row draws its own width, 0 included. */
+  private val genRagged: Gen[FileGrid] = for {
+    id   <- Gen.oneOf(Gen.const("f"), anyStr)
+    h    <- Gen.choose(0, 8)
+    rows <- Gen.listOfN(h, Gen.choose(0, 8).flatMap(w => Gen.listOfN(w, genCell)))
+  } yield FileGrid(id, rows.map(_.toArray).toArray)
+
+  /** The copy has the original's id, shape and cells. */
+  private def sameGrid(copy: FileGrid, g: FileGrid): Boolean =
+    copy.fileId == g.fileId && copy.height == g.height && copy.width == g.width &&
+      copy.rows.map(_.toSeq).toSeq == g.rows.map(_.toSeq).toSeq
+
+  /** Its image types every cell the same (padded grids have an image). */
+  private def sameImage(copy: FileGrid, g: FileGrid): Boolean =
+    (0 until g.height).forall(y => (0 until g.width).forall(x => copy.typeCode(x, y) == g.typeCode(x, y)))
+
+  test("serialized grids round-trip, ragged ones included") {
+    holds(Prop.forAll(genRagged) { g =>
+      (sameGrid(viaSpark(g), g) :| "JavaSerializer") && (sameGrid(viaStream(g), g) :| "ObjectOutputStream")
+    })
+  }
+
+  test("serialized padded grids type every cell the same") {
+    holds(Prop.forAll(genRagged) { r =>
+      val g = Grid.fromRows(r.fileId, r.rows.map(_.toSeq).toSeq)
+      assert(g.image.width == g.width) // built before shipping: the copy builds its own
+      val viaS = viaSpark(g)
+      val viaO = viaStream(g)
+      sameGrid(viaS, g) && sameGrid(viaO, g) && sameImage(viaS, g) && sameImage(viaO, g)
+    })
+  }
+
+  test("serialized grids round-trip their edge cases") {
+    val long = ("\u00e9x" * 40000) + "\uD83D\uDE00" // 80,002 chars, past writeUTF's 65,535
+    val grids = Seq(
+      FileGrid("no rows", Array.empty),
+      FileGrid("empty rows", Array(Array.empty[String], Array.empty[String])),
+      FileGrid("blank", Array(Array("", " ", "\t"), Array("", "", ""))),
+      FileGrid("long", Array(Array("a", long, ""), Array(long, "", "1"))),
+      Grid.fromCsv("csv", "a,\"b,\r\nc\"\r\n\"say \"\"hi\"\"\",\u0000\n\n1"))
+    for (g <- grids) {
+      assert(sameGrid(viaSpark(g), g), g.fileId)
+      assert(sameGrid(viaStream(g), g), g.fileId)
+    }
+    for (g <- grids.drop(2)) {
+      assert(sameImage(viaSpark(g), g), g.fileId)
+      assert(sameImage(viaStream(g), g), g.fileId)
+    }
+  }
+
+  test("a serialized grid is a few objects, not one per cell") {
+    /** Every object an `ObjectOutputStream` writes for `g`. */
+    def written(g: FileGrid): Vector[AnyRef] = {
+      val seen = Vector.newBuilder[AnyRef]
+      val out = new ObjectOutputStream(OutputStream.nullOutputStream()) {
+        enableReplaceObject(true)
+        override def replaceObject(o: AnyRef): AnyRef = { seen += o; o }
+      }
+      out.writeObject(g); out.close()
+      seen.result()
+    }
+    def grid(h: Int, w: Int) =
+      FileGrid("f", Array.tabulate(h, w)((y, x) => if ((x + y) % 3 == 0) "" else s"$x.$y"))
+    val small = written(grid(3, 4))
+    val large = written(grid(30, 40))
+    assert(small.nonEmpty && small.size == large.size, (small.map(_.getClass), large.map(_.getClass)))
+    assert(!(small ++ large).exists(o => o.isInstanceOf[Array[String]] || o.isInstanceOf[FileGrid]))
   }
 }

@@ -48,14 +48,22 @@ class StrategiesSpec extends SparkSpec {
 
   // Spark's partitioning and the task payload (grid and gold boxes, not the
   // file) must not change a strategy's output: the per-file detectors run
-  // sequentially on the driver give the same boxes and type counts. Dynamic
-  // Radius is scored here with the per-region IoU of `regionScores`. A
-  // nonzero run seed pins the per-file seed derivation inside `recognize`.
+  // sequentially on the driver give every field of every region. The files
+  // are built on the driver, so the reference reads grids that no
+  // serializer has touched, while the tasks read grids rebuilt from their
+  // serialized form. Dynamic Radius is scored here with the per-region IoU
+  // of `regionScores`. A nonzero run seed pins the per-file seed derivation
+  // inside `recognize`.
   test("Spark baseline detection equals the per-file detectors run on the driver") {
+    val files = for {
+      (cls, t) <- Vector(SpreadsheetGen.FewRegions, SpreadsheetGen.ManyRegions, SpreadsheetGen.One).zipWithIndex
+      spec = SpreadsheetGen.template(s"st-drv-t$t", cls, 50L + t)
+      k <- 0 until 3
+    } yield SpreadsheetGen.instantiate(spec, s"st-drv-t$t-f$k", 100L * t + k)
     val runSeed = 3L
     val p = Strategies.paramsFor("deco")
     def genetic(useStyle: Boolean): GoldFile => Vector[Region] = {
-      val labels = GeneticTableRec.classifyCells(deco, useStyle)
+      val labels = GeneticTableRec.classifyCells(files, useStyle)
       f => Mondrian.regionsFromBoxes(f.grid, GeneticTableRec.recognize(f.grid, labels(f.fileId), runSeed))
     }
     val model = TableSenseSim.train(fuste, runSeed)
@@ -70,10 +78,12 @@ class StrategiesSpec extends SparkSpec {
       "Genetic (CSV)" -> genetic(useStyle = false),
       "Tablesense" -> (f => Mondrian.regionsFromBoxes(f.grid, TableSenseSim.detectFile(f.grid, model))))
     assert(want.keySet == Strategies.All.toSet)
-    def key(rs: Vector[Region]) = rs.map(r => (r.box, r.counts.toSeq))
+    def key(rs: Vector[Region]) = rs.map(r => (r.fileId, r.box, r.elements, r.counts.toSeq, r.cellCount))
     for ((s, detect) <- want) {
-      val got = Strategies.detect(spark, s, "deco", deco, fuste, runSeed)
-      assert(got.view.mapValues(key).toMap == deco.map(f => f.fileId -> key(detect(f))).toMap, s)
+      val expected = files.map(f => f.fileId -> key(detect(f))).toMap
+      if (s != "Tablesense") assert(expected.values.map(_.size).sum >= files.size, s)
+      val got = Strategies.detect(spark, s, "deco", files, fuste, runSeed)
+      assert(got.view.mapValues(key).toMap == expected, s)
     }
   }
 
