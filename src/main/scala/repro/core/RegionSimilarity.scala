@@ -47,6 +47,11 @@ object RegionSimilarity {
 
   private val Types = Cells.all.size
 
+  /** Relative margin around τ·√va·√vb within which [[Index.atLeast]]
+    * takes the exact path.
+    */
+  private final val AtLeastBand = 1e-9
+
   /** The three bins (R, G, B) that a cell of each type adds 1 to. */
   private val typeBins: Array[Array[Int]] = Cells.all.map { t =>
     val (r, g, b) = t.rgb
@@ -150,13 +155,33 @@ object RegionSimilarity {
     private val weighted = regions.flatMap(_.weighted)
     private val totals   = regions.map(r => total(r.counts))
     private val spreads  = regions.map(r => spread(r.counts, r.weighted))
+    private val roots    = spreads.map(v => math.sqrt(v.toDouble))
 
-    def similarity(i: Int, j: Int): Double = {
+    /** a·b of regions i and j. */
+    private def dot(i: Int, j: Int): Long = {
       var ab = 0L; var t = 0
       val wi = i * Types; val cj = j * Types
       while (t < Types) { ab += weighted(wi + t) * counts(cj + t); t += 1 }
-      ncc(ab, totals(i), totals(j), spreads(i), spreads(j))
+      ab
     }
+
+    def similarity(i: Int, j: Int): Double = ncc(dot(i, j), totals(i), totals(j), spreads(i), spreads(j))
+
+    /** `similarity(i, j) >= tau`, without the square root and the division
+      * where the exact numerator is clearly above or below τ·√va·√vb: the
+      * two sides round by a few ulps, far inside the relative band
+      * [[AtLeastBand]], and inside it or when τ ≤ 0 or a spread is 0 the
+      * exact similarity decides.
+      */
+    def atLeast(i: Int, j: Int, tau: Double): Boolean =
+      if (tau <= 0 || spreads(i) == 0L || spreads(j) == 0L) similarity(i, j) >= tau
+      else {
+        val num = (HistogramBins * dot(i, j) - 9 * totals(i) * totals(j)).toDouble
+        val limit = tau * roots(i) * roots(j)
+        if (num > limit * (1 + AtLeastBand)) true
+        else if (num < limit * (1 - AtLeastBand)) false
+        else similarity(i, j) >= tau
+      }
   }
 
   /** Builds a [[Region]] from a cluster of elements of one file. */

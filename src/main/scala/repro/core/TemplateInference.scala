@@ -24,10 +24,13 @@ import scala.collection.mutable
   *     its bound cascade (node count, then flooding bounds) rules out
   *     sim ≥ τ_f, and the map returns only the pairs ≥ τ_f and its count
   *     of candidate file pairs;
-  *  2. class pairs with layout similarity ≥ τ_f expand on the driver to the
-  *     file pairs they stand for, the edges of the file graph; templates are
-  *     its connected components (union-find on the driver — the file graph
-  *     has one node per file, which is small).
+  *  2. templates are the connected components of the file graph, found on
+  *     the driver at the class level: the class pairs with layout
+  *     similarity ≥ τ_f join their classes in a union-find over classes;
+  *     the files of a class with any such pair, (X, X) or (X, Y), take the
+  *     template of its component, and each file of a class with none is its
+  *     own template. The file graph's edges, every file pair of a class
+  *     pair ≥ τ_f, are expanded only when `Result.edges` is read.
   *
   * A τ_f sweep runs `infer` once at the lowest τ_f and thresholds its
   * edges per τ_f with `templatesFromEdges`.
@@ -40,12 +43,35 @@ object TemplateInference {
   final case class Params(tauRegion: Double = 0.75, tauLayout: Double = 0.99,
                           flooding: SimilarityFlooding.Params = SimilarityFlooding.Params())
 
-  /** Result: template id per file (connected component representative) and
-    * the layout-similarity edges that produced them.
+  /** Result: template id per file and the number of candidate file pairs
+    * before any pruning. The layout-similarity edges that produced the
+    * templates are held as class edges: `ids` are the file ids sorted,
+    * `classes` lists the indices into `ids` of each layout class, and
+    * `classEdges(n)`, packed class-index pairs (X, Y), X ≤ Y, scored
+    * `scores(n)`. Nothing of the layouts themselves is kept.
     */
-  final case class Result(templateOf: Map[String, Int],
-                          edges: Vector[(String, String, Double)],
-                          candidatePairs: Long)
+  final class Result private[core] (val templateOf: Map[String, Int], val candidatePairs: Long,
+                                    ids: Array[String], classes: Array[Array[Int]],
+                                    classEdges: Array[Long], scores: Array[Double]) {
+
+    /** The edges of the file graph: every file pair (a, b), a < b, of a
+      * class edge, with the class edge's score, sorted by file id, first
+      * file then second. Expanded from the class edges on first read.
+      */
+    lazy val edges: Vector[(String, String, Double)] = {
+      val scoreOf = mutable.LongMap.empty[Double]
+      for (n <- classEdges.indices) scoreOf(classEdges(n)) = scores(n)
+      val classOf = new Array[Int](ids.length)
+      for ((c, x) <- classes.zipWithIndex; i <- c) classOf(i) = x
+      val keys = classEdges.iterator.flatMap(filePairs(classes, _)).toArray
+      java.util.Arrays.sort(keys)
+      Vector.tabulate(keys.length) { n =>
+        val a = first(keys(n)); val b = second(keys(n))
+        val x = classOf(a); val y = classOf(b)
+        (ids(a), ids(b), scoreOf(pack(math.min(x, y), math.max(x, y))))
+      }
+    }
+  }
 
   /** Candidate file pairs (a, b), a < b, from region-fingerprint matches
     * (step 1): the files with some region pair of similarity ≥ `tauRegion`.
@@ -61,7 +87,7 @@ object TemplateInference {
   /** A file- or class-index pair (a, b), a ≤ b, packed into one Long;
     * packed pairs sort by a, then b.
     */
-  private def pack(a: Int, b: Int): Long = (a.toLong << 32) | b
+  private[core] def pack(a: Int, b: Int): Long = (a.toLong << 32) | b
   private def first(k: Long): Int = (k >>> 32).toInt
   private def second(k: Long): Int = k.toInt
 
@@ -127,7 +153,7 @@ object TemplateInference {
         while (i < start(a + 1)) {
           var j = start(b)
           while (j < start(b + 1)) {
-            if (index.similarity(i, j) >= p.tauRegion) return true
+            if (index.atLeast(i, j, p.tauRegion)) return true
             j += 1
           }
           i += 1
@@ -158,25 +184,43 @@ object TemplateInference {
 
   /** Full inference over per-file layout graphs (steps 1–2), on one
     * representative per layout class. `candidatePairs` of the result
-    * counts candidate file pairs before any pruning; `edges` come sorted by
-    * file id, first file then second.
+    * counts candidate file pairs before any pruning; its `templateOf`
+    * equals `templatesFromEdges` over its `edges`, template ids included.
+    * File ids must be distinct.
     */
   def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
-    val files = layouts.sortBy(_.fileId).toArray
-    val (classes, shipped) = payload(files.map(_.regions))
-    val (cands, scores, candidateFilePairs) = scan(spark, shipped, p, scored = true)
-    val scoreOf = mutable.LongMap.empty[Double]
-    for (n <- cands.indices) scoreOf(cands(n)) = scores(n)
-    val classOf = new Array[Int](files.length)
-    for ((c, x) <- classes.zipWithIndex; i <- c) classOf(i) = x
-    val keys = scoreOf.keysIterator.flatMap(filePairs(classes, _)).toArray
-    java.util.Arrays.sort(keys)
-    val edges = Vector.tabulate(keys.length) { n =>
-      val a = first(keys(n)); val b = second(keys(n))
-      val x = classOf(a); val y = classOf(b)
-      (files(a).fileId, files(b).fileId, scoreOf(pack(math.min(x, y), math.max(x, y))))
+    val order = layouts.indices.sortBy(layouts(_).fileId).toArray
+    val ids = order.map(layouts(_).fileId)
+    require(ids.indices.forall(i => i == 0 || ids(i - 1) != ids(i)), "file ids must be distinct")
+    val (classes, shipped) = payload(order.map(layouts(_).regions))
+    val (classEdges, scores, candidateFilePairs) = scan(spark, shipped, p, scored = true)
+    val templateOf = templates(order, classes, classEdges)
+    new Result(layouts.indices.iterator.map(i => layouts(i).fileId -> templateOf(i)).toMap,
+      candidateFilePairs, ids, classes, classEdges, scores)
+  }
+
+  /** The template of each layout, in `layouts` order, from the class
+    * edges of the layouts sorted by `order`: the classes of each class edge
+    * join in a union-find over classes. A file whose class has an edge
+    * takes its component's template, and a file whose class has none is its
+    * own template. Templates are numbered in the order of their first file,
+    * as [[templatesFromEdges]] numbers them.
+    */
+  private def templates(order: Array[Int], classes: Array[Array[Int]], classEdges: Array[Long]): Array[Int] = {
+    val sets = new UnionFind(classes.length)
+    val joined = new Array[Boolean](classes.length)
+    for (k <- classEdges) { sets.union(first(k), second(k)); joined(first(k)) = true; joined(second(k)) = true }
+    val classOf = new Array[Int](order.length) // by layout
+    for ((c, x) <- classes.zipWithIndex; s <- c) classOf(order(s)) = x
+    // 1 + the template of each component root, then of each lone layout
+    val slot = new Array[Int](classes.length + order.length)
+    var next = 0
+    Array.tabulate(order.length) { i =>
+      val x = classOf(i)
+      val key = if (joined(x)) sets.find(x) else classes.length + i
+      if (slot(key) == 0) { next += 1; slot(key) = next }
+      slot(key) - 1
     }
-    Result(templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout), edges, candidateFilePairs)
   }
 
   /** Groups files into templates given precomputed edges and a threshold:

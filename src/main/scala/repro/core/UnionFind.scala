@@ -5,7 +5,8 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Disjoint sets over 0 until n with path compression (Tarjan, JACM 1975):
   * the connected components of segmentation (§4.1), of the ε-graph of
-  * elements (§4.2), of the file graph (Algorithm 1) and of the baselines.
+  * elements (§4.2), of the file graph (Algorithm 1, over layout classes)
+  * and of the baselines.
   */
 final class UnionFind(n: Int) {
   private val parent = Array.range(0, n)

@@ -18,7 +18,9 @@ import repro.eval.Strategies
   * inference must reproduce exactly; on each of those pairs σ⁰ read from
   * the region index must equal the regions' similarity as raw bits, and
   * the cheap line bound of the flooding must be at least the matching
-  * bound.
+  * bound. Inference's templates from class edges must equal the
+  * components of its file edges, ids included, and the scan's threshold
+  * test must agree with the similarity on every region pair.
   */
 class FullCorpusFloodingSpec extends SparkSpec {
   import FullCorpusFloodingSpec.{Case, regionKey}
@@ -163,6 +165,29 @@ class FullCorpusFloodingSpec extends SparkSpec {
       assert(edgeMap(r.edges) == want)
       val refEdges = want.toVector.map { case ((a, b), s) => (a, b, s) }
       assert(groups(r.templateOf) == groups(TemplateInference.templatesFromEdges(cs.files, refEdges, tauLayout)))
+    }
+
+    test(s"$name: templates from class edges equal templatesFromEdges over the file edges, ids included") {
+      val cs = c()
+      val r = TemplateInference.infer(spark, cs.layouts, TemplateInference.Params(tauRegion, tauLayout))
+      assert(r.edges.nonEmpty)
+      assert(r.templateOf == TemplateInference.templatesFromEdges(cs.files, r.edges, tauLayout))
+    }
+
+    test(s"$name: atLeast equals similarity ≥ τ_r on every region pair") {
+      val cs = c()
+      val index = new RegionSimilarity.Index(cs.layouts.flatMap(_.regions).toArray)
+      val n = cs.layouts.map(_.size).sum
+      val bc = spark.sparkContext.broadcast(index)
+      // per region i: the (j, τ_r) where atLeast differs, over every region j
+      val differ = spark.sparkContext.parallelize(0 until n, spark.sparkContext.defaultParallelism * 4)
+        .map { i =>
+          val idx = bc.value
+          (for (j <- 0 until n; tau <- Seq(0.5, 0.75, 0.9, 1.0)
+            if idx.atLeast(i, j, tau) != (idx.similarity(i, j) >= tau)) yield 1L).sum
+        }.collect()
+      assert(differ.length == n && n > 1000)
+      assert(differ.sum == 0L)
     }
 
     test(s"$name: infer at the sweep floor $minTau keeps the reference's scores ≥ $minTau") {

@@ -42,8 +42,20 @@ object ReferenceCandidates {
       .filter { case (a, b) => LayoutGraph.sizeBound(a.size, b.size) >= p.tauLayout }
       .map { case (a, b) => (a.fileId, b.fileId, SimilarityFlooding.similarity(a, b, p.flooding, p.tauLayout)) }
       .filter(_._3 >= p.tauLayout).toVector
-    TemplateInference.Result(TemplateInference.templatesFromEdges(layouts.map(_.fileId), edges, p.tauLayout),
-      edges, cands.size.toLong)
+    result(layouts.map(_.fileId), edges, p.tauLayout, cands.size.toLong)
+  }
+
+  /** The [[TemplateInference.Result]] of file edges (a, b), a < b: the
+    * templates of `templatesFromEdges`, and each file its own layout class,
+    * so that the result's `edges` are `edges`, sorted by file id.
+    */
+  def result(files: Vector[String], edges: Vector[(String, String, Double)], tauLayout: Double,
+             candidatePairs: Long): TemplateInference.Result = {
+    val ids = files.sorted.toArray
+    val at = ids.zipWithIndex.toMap
+    new TemplateInference.Result(TemplateInference.templatesFromEdges(files, edges, tauLayout), candidatePairs,
+      ids, ids.indices.map(Array(_)).toArray, edges.map(e => TemplateInference.pack(at(e._1), at(e._2))).toArray,
+      edges.map(_._3).toArray)
   }
 
   /** Sequential Algorithm 1 exactly as printed in the paper, for fidelity
@@ -74,7 +86,6 @@ object ReferenceCandidates {
     val keep = candidates.toVector.map { case (a, b) =>
       (a, b, SimilarityFlooding.similarity(byFile(a), byFile(b), p.flooding, p.tauLayout))
     }.filter(_._3 >= p.tauLayout)
-    val templates = TemplateInference.templatesFromEdges(layouts.map(_.fileId), keep, p.tauLayout)
-    TemplateInference.Result(templates, keep, candidates.size.toLong)
+    result(layouts.map(_.fileId), keep, p.tauLayout, candidates.size.toLong)
   }
 }

@@ -142,6 +142,18 @@ class RegionSimilaritySpec extends AnyFunSuite {
     })
   }
 
+  test("property: atLeast equals similarity ≥ τ, with τ also within 1e-12 of the similarity") {
+    holds(Prop.forAllNoShrink(genCounts, genCounts, Gen.choose(-1e-12, 1e-12)) { (ca, cb, d) =>
+      val idx = new RegionSimilarity.Index(Array(region(ca), region(cb)))
+      val s = idx.similarity(0, 1)
+      val taus = Seq(-1.0, 0.0, Double.MinPositiveValue, 0.5, 0.75, 0.9, 0.99, 1.0, 1.0 + 1e-12, 2.0,
+        s, math.nextUp(s), math.nextDown(s), s + d, s - d, s * (1 + 1e-10), s * (1 - 1e-10))
+      val wrong = for (tau <- taus; (i, j) <- Seq((0, 1), (1, 0), (0, 0), (1, 1))
+        if idx.atLeast(i, j, tau) != (idx.similarity(i, j) >= tau)) yield (i, j, tau)
+      wrong.isEmpty :| s"similarity $s: atLeast differs at ${wrong.take(3)}"
+    })
+  }
+
   test("regions without cells: 1 against each other, 0 against any other region") {
     val empty = region(new Array[Int](Types))
     assert(RegionSimilarity.similarity(empty, empty) == 1.0)

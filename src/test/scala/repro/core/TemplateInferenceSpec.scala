@@ -128,6 +128,46 @@ class TemplateInferenceSpec extends SparkSpec {
     assert(copyEdges > 0, "no edge between a layout and its copy")
   }
 
+  test("property: templates from class edges equal templatesFromEdges over the file edges, ids included") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(150).withInitialSeed(Seed(20217L))
+    // how often each case the class-level templates must get right occurred
+    val seen = mutable.Map.empty[String, Int].withDefaultValue(0)
+    val prop = Prop.forAllNoShrink(genCopies, Gen.long) { (sorted, seed) =>
+      val layouts = new scala.util.Random(seed).shuffle(sorted)
+      val classOf = layouts.groupBy(_.regions.map(r => (r.box, r.counts.toSeq))).values.zipWithIndex
+        .flatMap { case (gs, x) => gs.map(_.fileId -> x) }.toMap
+      val sizes = classOf.values.groupBy(identity).view.mapValues(_.size).toMap
+      Prop.all(Seq(0.5, 0.7, 0.99).map { tau =>
+        val got = TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = tau))
+        val want = TemplateInference.templatesFromEdges(layouts.map(_.fileId), got.edges, tau)
+        val classEdges = got.edges.map { case (a, b, _) => Set(classOf(a), classOf(b)) }.toSet
+        val joined = classEdges.flatten
+        seen("file without regions") += layouts.count(_.size == 0)
+        for ((x, n) <- sizes) {
+          val self = classEdges(Set(x))
+          if (n == 1) seen(if (joined(x)) "single-file class with an edge" else "single-file class without") += 1
+          else seen(if (self) "2+-file class with (X, X)" else "2+-file class without (X, X)") += 1
+        }
+        // classes of one template with no class edge between them
+        for (xs <- got.templateOf.groupBy(_._2).values.map(_.keys.map(classOf).toSet);
+             x <- xs; y <- xs if x < y && !classEdges(Set(x, y))) seen("class joined only through another class") += 1
+        (got.templateOf == want) :| s"τ_f $tau: templates ${got.templateOf}, want $want"
+      }: _*)
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+    for (c <- Seq("file without regions", "single-file class with an edge", "single-file class without",
+                  "2+-file class with (X, X)", "2+-file class without (X, X)", "class joined only through another class"))
+      assert(seen(c) > 0, s"no case of $c")
+  }
+
+  test("infer rejects repeated file ids") {
+    val g = layouts.head
+    intercept[IllegalArgumentException](TemplateInference.infer(spark, layouts :+ g))
+    intercept[IllegalArgumentException](TemplateInference.infer(spark, LayoutGraph.build(g.fileId, Vector.empty) +: layouts))
+  }
+
   test("candidatePairs counts the file pairs of candidate classes: 3 + 1 + 6") {
     def file(id: String, boxes: Rect*): LayoutGraph =
       LayoutGraph.build(id, boxes.toVector.zipWithIndex.map { case (box, k) =>
