@@ -1,7 +1,7 @@
 package repro.baselines.genetic
 
 import scala.util.Random
-import repro.core.{FileGrid, Geometry, UnionFind}
+import repro.core.{Geometry, TypedFile, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.{GoldFile, Role}
 
@@ -110,7 +110,7 @@ object GeneticTableRec {
   /** Groups same-label 4-connected cells into vertices, in row-major order
     * of their first cell.
     */
-  def vertices(grid: FileGrid, labels: Map[(Int, Int), Int]): Vector[Vertex] = {
+  def vertices(grid: TypedFile, labels: Map[(Int, Int), Int]): Vector[Vertex] = {
     val w = grid.width
     val label = Array.fill(w * grid.height)(-1)
     for (((x, y), lab) <- labels) label(y * w + x) = lab
@@ -137,7 +137,7 @@ object GeneticTableRec {
     * wide gaps that separate independent regions. Header-above-data and
     * not mixing metadata with table content are rewarded per group.
     */
-  def fitness(grid: FileGrid, vs: Vector[Vertex], groups: Vector[Vector[Int]]): Double = {
+  def fitness(grid: TypedFile, vs: Vector[Vertex], groups: Vector[Vector[Int]]): Double = {
     val img = grid.image
     val perRow = (0 until grid.height).map(y => img.nonEmpty(Rect(0, y, grid.width - 1, y)))
     val total = math.max(1, perRow.sum)
@@ -167,7 +167,7 @@ object GeneticTableRec {
   /** Genetic search over edge cut sets for one file; the search is seeded
     * from the run seed and the file id.
     */
-  def recognize(grid: FileGrid, labels: Map[(Int, Int), Int], runSeed: Long): Vector[Rect] = {
+  def recognize(grid: TypedFile, labels: Map[(Int, Int), Int], runSeed: Long): Vector[Rect] = {
     val vs = vertices(grid, labels)
     if (vs.isEmpty) return Vector.empty
     val edges = candidateEdges(vs)

@@ -1,7 +1,7 @@
 package repro.baselines.tablesense
 
 import scala.util.Random
-import repro.core.{Cells, FileGrid, UnionFind}
+import repro.core.{Cells, TypedFile, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.GoldFile
 import repro.eval.Metrics
@@ -44,7 +44,7 @@ object TableSenseSim {
   private val MaxDetections = 2
 
   /** Pooled feature vector of a candidate box (plus bias term). */
-  def boxFeatures(grid: FileGrid, box: Rect): Array[Double] = {
+  def boxFeatures(grid: TypedFile, box: Rect): Array[Double] = {
     val img = grid.image
     val nonEmpty = img.nonEmpty(box)
     val typeCounts = Array.tabulate(Cells.all.size)(img.count(_, box))
@@ -71,7 +71,7 @@ object TableSenseSim {
     * — the boundary imprecision and whole-region misses of a convolutional
     * detector with pooled feature maps (paper §5.3.3).
     */
-  def proposals(grid: FileGrid): Vector[Rect] = {
+  def proposals(grid: TypedFile): Vector[Rect] = {
     val w = grid.width; val h = grid.height
     val img = grid.image
     // a cell is filled iff its (2r+1)² window holds a non-empty cell, so
@@ -124,7 +124,7 @@ object TableSenseSim {
     * those above threshold. Areas covered only by rejected proposals are
     * missed — the Mask R-CNN trait the paper highlights.
     */
-  def detectFile(grid: FileGrid, m: Model): Vector[Rect] = {
+  def detectFile(grid: TypedFile, m: Model): Vector[Rect] = {
     val scored = proposals(grid).map(p => (p, score(m, boxFeatures(grid, p))))
       .filter(_._2 >= Threshold)
       .sortBy(-_._2)

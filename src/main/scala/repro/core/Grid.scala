@@ -1,26 +1,23 @@
 package repro.core
 
-/** A spreadsheet file normalized to a rectangular grid of raw cell strings.
+/** A spreadsheet file normalized to a rectangular grid of raw cell strings,
+  * with its type image.
   *
   * Rows are padded with empty cells to the longest row's length (paper §4.1:
   * native csv files need not have the same number of delimiters per row).
   * Coordinates are (x, y) = (column, row) with the origin top-left, matching
   * the paper's Euclidean-space convention.
   *
-  * @param fileId   unique file identifier within a corpus
-  * @param rows     padded grid, `rows(y)(x)` is the raw content of cell (x,y)
+  * @param rows  padded grid, `rows(y)(x)` is the raw content of cell (x,y)
+  * @param image the file's type image: every cell typed once, when the grid
+  *              is built; every stage that needs cell types reads it
   */
-final case class FileGrid(fileId: String, rows: Array[Array[String]]) {
-  /** Grid height (number of rows, M in the paper). */
-  def height: Int = rows.length
-  /** Grid width (number of columns, N in the paper). */
-  def width: Int = if (rows.isEmpty) 0 else rows(0).length
-
-  /** The file's type image, built on first use; every stage that needs cell
-    * types reads it instead of re-typing the raw strings. It is not
-    * serialized: a task that receives the grid types its rows once.
-    */
-  @transient lazy val image: TypeImage = TypeImage(this)
+final class FileGrid private (val rows: Array[Array[String]], val image: TypeImage)
+    extends TypedFile with Serializable {
+  /** Unique file identifier within a corpus. */
+  def fileId: String = image.fileId
+  def height: Int = image.height
+  def width: Int = image.width
 
   /** Java serialization writes the grid in its packed form (see
     * [[FileGrid.Packed]]) and reads it back as a new grid.
@@ -30,20 +27,25 @@ final case class FileGrid(fileId: String, rows: Array[Array[String]]) {
 
 object FileGrid {
 
-  /** A grid as Java serialization writes it: the width of each row, the
-    * length of each cell in row-major order, and all cell text in one
-    * string. That is a handful of objects however many cells the grid has,
-    * where the rows as they are would be one `String` per cell (half a
-    * million on the Deco-like corpus, most of them empty). Rows keep their
-    * own widths, so a ragged grid built with the constructor round-trips.
+  /** The grid of `rows`, typed (see [[TypeImage.apply]]). */
+  def apply(fileId: String, rows: Array[Array[String]]): FileGrid = new FileGrid(rows, TypeImage(fileId, rows))
+
+  /** A grid as Java serialization writes it: its type image, the width of
+    * each row, the length of each cell in row-major order, and all cell
+    * text in one string. That is a handful of objects however many cells
+    * the grid has, where the rows as they are would be one `String` per
+    * cell (half a million on the Deco-like corpus, most of them empty).
+    * Rows keep their own widths, so a ragged grid built with the
+    * constructor round-trips; the image comes back as written, and no
+    * cell is typed again.
     */
-  @SerialVersionUID(1L)
-  private final class Packed(fileId: String, widths: Array[Int], lengths: Array[Int], text: String)
+  @SerialVersionUID(2L)
+  private final class Packed(image: TypeImage, widths: Array[Int], lengths: Array[Int], text: String)
       extends Serializable {
     private def readResolve(): AnyRef = {
       var at = 0
       var c  = 0
-      FileGrid(fileId, widths.map { w =>
+      new FileGrid(widths.map { w =>
         val row = new Array[String](w)
         var x = 0
         while (x < w) {
@@ -52,7 +54,7 @@ object FileGrid {
           at += n; c += 1; x += 1
         }
         row
-      })
+      }, image)
     }
   }
 
@@ -76,7 +78,7 @@ object FileGrid {
       }
       y += 1
     }
-    new Packed(g.fileId, widths, lengths, text.toString)
+    new Packed(g.image, widths, lengths, text.toString)
   }
 }
 

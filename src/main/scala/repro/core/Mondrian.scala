@@ -22,7 +22,7 @@ object Mondrian {
     ((1 to 20).map(_ * 0.1) ++ (3 to 10).map(_.toDouble) ++ (2 to 10).map(_ * 10.0)).toVector
 
   /** Detects the regions of one file with a fixed radius. */
-  def detectRegions(grid: FileGrid, params: Clustering.Params): Vector[Region] = {
+  def detectRegions(grid: TypedFile, params: Clustering.Params): Vector[Region] = {
     val elems = Segmentation.elements(grid)
     if (elems.isEmpty) Vector.empty
     else Clustering.clusterElements(elems, params).map(RegionSimilarity.fromElements(grid, _))
@@ -33,7 +33,7 @@ object Mondrian {
     * given score (the paper selects the optimal radius per file against the
     * gold standard; callers pass e.g. mean IoU vs. gold boxes).
     */
-  def detectRegionsDynamic(grid: FileGrid, base: Clustering.Params,
+  def detectRegionsDynamic(grid: TypedFile, base: Clustering.Params,
                            score: Vector[Region] => Double): (Double, Vector[Region]) = {
     val elems = Segmentation.elements(grid)
     if (elems.isEmpty) return (RadiusGrid.head, Vector.empty)
@@ -52,12 +52,12 @@ object Mondrian {
     * connected component's bounding box is one region — no partitioning,
     * no clustering.
     */
-  def detectRegionsCC(grid: FileGrid): Vector[Region] =
+  def detectRegionsCC(grid: TypedFile): Vector[Region] =
     Segmentation.connectedComponents(grid).map { c =>
       RegionSimilarity.fromBox(grid, c.boundingBox)
     }
 
   /** Gold-standard regions from annotated bounding boxes. */
-  def regionsFromBoxes(grid: FileGrid, boxes: Vector[Rect]): Vector[Region] =
+  def regionsFromBoxes(grid: TypedFile, boxes: Vector[Rect]): Vector[Region] =
     boxes.map(RegionSimilarity.fromBox(grid, _))
 }

@@ -20,6 +20,42 @@ final case class Region(fileId: String, box: Rect, elements: Vector[Rect],
 
   /** G·counts, this region's half of the closed-form cross-correlation. */
   @transient private[core] lazy val weighted: Array[Long] = RegionSimilarity.weigh(counts)
+
+  /** Java serialization writes the region in its packed form (see
+    * [[Region.Packed]]) and reads it back as a new region.
+    */
+  private def writeReplace(): AnyRef = Region.pack(this)
+}
+
+object Region {
+  private val Types = Cells.all.size
+
+  /** A region as Java serialization writes it: the file id and one array
+    * of the box, the cell count, the type counts and the elements, four
+    * coordinates each. That is two objects per region, where the region as
+    * it is would be a `Vector` and a `Rect` per element besides.
+    */
+  @SerialVersionUID(1L)
+  private final class Packed(fileId: String, data: Array[Int]) extends Serializable {
+    private def readResolve(): AnyRef = {
+      def rect(i: Int) = Rect(data(i), data(i + 1), data(i + 2), data(i + 3))
+      val first = 5 + Types
+      Region(fileId, rect(0), Vector.tabulate((data.length - first) / 4)(k => rect(first + 4 * k)),
+        java.util.Arrays.copyOfRange(data, 5, first), data(4))
+    }
+  }
+
+  private def pack(r: Region): Packed = {
+    require(r.counts.length == Types, s"a region has ${r.counts.length} type counts, not $Types")
+    val data = new Array[Int](5 + Types + 4 * r.elements.size)
+    def put(i: Int, b: Rect): Unit = { data(i) = b.x0; data(i + 1) = b.y0; data(i + 2) = b.x1; data(i + 3) = b.y1 }
+    put(0, r.box)
+    data(4) = r.cellCount
+    System.arraycopy(r.counts, 0, data, 5, Types)
+    var i = 5 + Types
+    for (e <- r.elements) { put(i, e); i += 4 }
+    new Packed(r.fileId, data)
+  }
 }
 
 /** Region fingerprinting and similarity (paper §4.2).
@@ -65,7 +101,7 @@ object RegionSimilarity {
     Array.tabulate(Types, Types)((t, s) => typeBins(t).count(typeBins(s).contains))
 
   /** The 9 type counts of `box` in `grid`: the region fingerprint. */
-  def counts(grid: FileGrid, box: Rect): Array[Int] = {
+  def counts(grid: TypedFile, box: Rect): Array[Int] = {
     val img = grid.image
     Array.tabulate(Types)(img.count(_, box))
   }
@@ -185,7 +221,7 @@ object RegionSimilarity {
   }
 
   /** Builds a [[Region]] from a cluster of elements of one file. */
-  def fromElements(grid: FileGrid, elems: Vector[Rect]): Region = {
+  def fromElements(grid: TypedFile, elems: Vector[Rect]): Region = {
     val box   = Geometry.boundary(elems)
     val cells = elems.map(_.area).sum.toInt
     Region(grid.fileId, box, elems, counts(grid, box), cells)
@@ -194,6 +230,6 @@ object RegionSimilarity {
   /** Builds a [[Region]] straight from a bounding box (gold regions or
     * baseline detections that do not produce element sets).
     */
-  def fromBox(grid: FileGrid, box: Rect): Region =
+  def fromBox(grid: TypedFile, box: Rect): Region =
     Region(grid.fileId, box, Vector(box), counts(grid, box), grid.image.nonEmpty(box))
 }

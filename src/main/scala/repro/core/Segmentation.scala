@@ -30,7 +30,7 @@ object Segmentation {
     * runs of consecutive rows that share a column, found by a two-pointer
     * sweep of the two rows.
     */
-  def connectedComponents(grid: FileGrid): Vector[Component] = {
+  def connectedComponents(grid: TypedFile): Vector[Component] = {
     val img = grid.image
     val w = grid.width; val h = grid.height
     val runs = ArrayBuffer.empty[Rect]
@@ -76,6 +76,6 @@ object Segmentation {
   /** Full segmentation: connected components, then partition each into
     * elements. Returns all elements of the file.
     */
-  def elements(grid: FileGrid): Vector[Rect] =
+  def elements(grid: TypedFile): Vector[Rect] =
     connectedComponents(grid).flatMap(partition)
 }

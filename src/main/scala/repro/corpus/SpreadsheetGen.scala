@@ -87,8 +87,9 @@ object SpreadsheetGen {
   final case class GoldFile(fileId: String, templateId: String, outlier: Boolean,
                             grid: FileGrid, roles: Array[Array[Byte]],
                             bold: Array[Array[Boolean]], regions: Vector[GoldRegion]) {
-    /** The file's cells; the grid owns them. Detection ships the grid, not
-      * the file, to its tasks, so `roles` and `bold` stay on the driver.
+    /** The file's cells; the grid owns them. Detection ships the grid's
+      * type image, not the file, to its tasks, so the cell text, `roles`
+      * and `bold` stay on the driver.
       */
     def rows: Array[Array[String]] = grid.rows
     def regionBoxes: Vector[Rect] = regions.map(_.box)

@@ -1,7 +1,7 @@
 package repro.eval
 
 import repro.core.Geometry.Rect
-import repro.core.FileGrid
+import repro.core.TypedFile
 
 /** Evaluation metrics of paper §5.3 (IoU, EoB) and §5.4 (homogeneity,
   * completeness, v-measure after Rosenberg & Hirschberg).
@@ -13,7 +13,7 @@ object Metrics {
     * the non-empty cells of the boxes' intersection, so three box counts
     * on the type image give the score.
     */
-  def iou(grid: FileGrid, p: Rect, t: Rect): Double = {
+  def iou(grid: TypedFile, p: Rect, t: Rect): Double = {
     val img = grid.image
     val x0 = math.max(p.x0, t.x0); val x1 = math.min(p.x1, t.x1)
     val y0 = math.max(p.y0, t.y0); val y1 = math.min(p.y1, t.y1)
@@ -28,14 +28,14 @@ object Metrics {
              math.max(math.abs(p.x1 - t.x1), math.abs(p.y1 - t.y1))).toDouble
 
   /** IoU of the prediction that overlaps `t` best; 0 without predictions. */
-  private def bestIou(grid: FileGrid, predicted: Vector[Rect], t: Rect): Double =
+  private def bestIou(grid: TypedFile, predicted: Vector[Rect], t: Rect): Double =
     predicted.foldLeft(0.0)((best, p) => math.max(best, iou(grid, p, t)))
 
   /** Per-true-region scores: IoU of the best-overlapping prediction and EoB
     * of the closest prediction; a missed region (no predictions) scores
     * IoU 0 and EoB max(height, width) of the file (§5.3).
     */
-  def regionScores(grid: FileGrid, predicted: Vector[Rect], gold: Vector[Rect]): Vector[(Double, Double)] =
+  def regionScores(grid: TypedFile, predicted: Vector[Rect], gold: Vector[Rect]): Vector[(Double, Double)] =
     gold.map { t =>
       if (predicted.isEmpty) (0.0, math.max(grid.height, grid.width).toDouble)
       else (bestIou(grid, predicted, t), predicted.map(pR => eob(pR, t)).min)
@@ -45,7 +45,7 @@ object Metrics {
     * order; 0 without gold boxes. Dynamic Radius detection scores each
     * radius with it, so it computes no EoB.
     */
-  def meanIou(grid: FileGrid, predicted: Vector[Rect], gold: Vector[Rect]): Double =
+  def meanIou(grid: TypedFile, predicted: Vector[Rect], gold: Vector[Rect]): Double =
     if (gold.isEmpty) 0.0
     else gold.foldLeft(0.0)((sum, t) => sum + bestIou(grid, predicted, t)) / gold.size
 

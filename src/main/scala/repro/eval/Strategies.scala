@@ -22,9 +22,11 @@ object Strategies {
     if (dataset.startsWith("deco")) Mondrian.DecoParams else Mondrian.FusteParams
 
   /** Runs one strategy over a corpus; detection is one Spark map of a
-    * per-file function of the file's grid and gold boxes. A task gets just
-    * those: the grid's raw rows, not the file's cell roles and style bits,
-    * which only the Genetic classifier reads, on the driver. The ML
+    * per-file function of the file's type image and gold boxes. A task gets
+    * just those: the image (file id, shape and one type code per cell),
+    * not the cell text nor the file's cell roles and style bits, which only
+    * the Genetic classifier reads, on the driver. Each task returns its
+    * files' regions, each serialized as one array of `Int`s. The ML
     * baselines train on the driver first: Genetic cross-validates its cell
     * classifier on `files`, Tablesense trains on `other` (cross-dataset
     * setup); `runSeed` feeds both.
@@ -33,11 +35,11 @@ object Strategies {
              files: Vector[GoldFile], other: Vector[GoldFile],
              runSeed: Long = 0): Map[String, Vector[Region]] = {
     val p = paramsFor(dataset)
-    def parallel(f: (FileGrid, Vector[Rect]) => Vector[Region]): Map[String, Vector[Region]] =
+    def parallel(f: (TypedFile, Vector[Rect]) => Vector[Region]): Map[String, Vector[Region]] =
       spark.sparkContext
-        .parallelize(files.map(g => (g.grid, g.regionBoxes)),
+        .parallelize(files.map(g => (g.grid.image, g.regionBoxes)),
           math.max(1, math.min(files.size, spark.sparkContext.defaultParallelism * 4)))
-        .map { case (grid, gold) => grid.fileId -> f(grid, gold) }
+        .map { case (image, gold) => image.fileId -> f(image, gold) }
         .collect()
         .toMap
 

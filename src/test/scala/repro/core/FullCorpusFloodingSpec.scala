@@ -63,7 +63,8 @@ class FullCorpusFloodingSpec extends SparkSpec {
         case "Static Radius"  => (grid, _) => ReferenceTyping.detectRegions(grid, p)
         case "Dynamic Radius" => (grid, gold) => ReferenceTyping.detectRegionsDynamic(grid, p, gold)
       }
-      // the tasks get each file's grid and gold boxes, as in Strategies.detect
+      // the tasks get each file's grid, whose cells the reference types
+      // again, and its gold boxes
       val want = spark.sparkContext
         .parallelize(cs.corpus.map(f => (f.grid, f.regionBoxes)), spark.sparkContext.defaultParallelism * 4)
         .map { case (grid, gold) => grid.fileId -> detect(grid, gold).map(regionKey) }

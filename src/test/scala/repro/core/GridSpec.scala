@@ -1,13 +1,11 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream, OutputStream}
-import org.apache.spark.SparkConf
-import org.apache.spark.serializer.JavaSerializer
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CellOps._
+import repro.core.Serial.{viaSpark, viaStream, written}
 
 /** CSV parsing, grid normalization (paper §4.1) and the grid's serialized
   * form.
@@ -109,17 +107,6 @@ class GridSpec extends AnyFunSuite {
     assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
   }
 
-  private val sparkSer = new JavaSerializer(new SparkConf(false)).newInstance()
-
-  private def viaSpark(g: FileGrid): FileGrid = sparkSer.deserialize[FileGrid](sparkSer.serialize(g))
-
-  private def viaStream(g: FileGrid): FileGrid = {
-    val bytes = new ByteArrayOutputStream
-    val out = new ObjectOutputStream(bytes)
-    out.writeObject(g); out.close()
-    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[FileGrid]
-  }
-
   /** Strings of any UTF-16 code units, lone surrogates included. */
   private val anyStr: Gen[String] = Gen.stringOf(Gen.choose(Char.MinValue, Char.MaxValue))
 
@@ -145,20 +132,31 @@ class GridSpec extends AnyFunSuite {
     copy.fileId == g.fileId && copy.height == g.height && copy.width == g.width &&
       copy.rows.map(_.toSeq).toSeq == g.rows.map(_.toSeq).toSeq
 
-  /** Its image types every cell the same (padded grids have an image). */
+  /** Its image has the original's id, shape and codes. */
   private def sameImage(copy: FileGrid, g: FileGrid): Boolean =
-    (0 until g.height).forall(y => (0 until g.width).forall(x => copy.typeCode(x, y) == g.typeCode(x, y)))
+    copy.image.fileId == g.fileId && copy.image.width == g.width && copy.image.height == g.height &&
+      (0 until g.height).forall(y => (0 until g.width).forall(x => copy.typeCode(x, y) == g.typeCode(x, y)))
+
+  /** The type codes of `g`'s image, row-major. */
+  private def codes(g: FileGrid): Seq[Int] = for (y <- 0 until g.height; x <- 0 until g.width) yield g.image.code(x, y)
 
   test("serialized grids round-trip, ragged ones included") {
     holds(Prop.forAll(genRagged) { g =>
-      (sameGrid(viaSpark(g), g) :| "JavaSerializer") && (sameGrid(viaStream(g), g) :| "ObjectOutputStream")
+      val viaS = viaSpark(g); val viaO = viaStream(g)
+      (sameGrid(viaS, g) && sameImage(viaS, g)) :| "JavaSerializer" &&
+        (sameGrid(viaO, g) && sameImage(viaO, g)) :| "ObjectOutputStream"
     })
+  }
+
+  test("a ragged grid types the cells past the end of a short row as Empty") {
+    val g = FileGrid("f", Array(Array("1", "a", ""), Array("2"), Array.empty[String]))
+    assert(g.width == 3 && g.height == 3)
+    assert(codes(g) == Seq(Cells.IntegerSt.code, Cells.LowercaseSt.code, 0, Cells.IntegerSt.code, 0, 0, 0, 0, 0))
   }
 
   test("serialized padded grids type every cell the same") {
     holds(Prop.forAll(genRagged) { r =>
       val g = Grid.fromRows(r.fileId, r.rows.map(_.toSeq).toSeq)
-      assert(g.image.width == g.width) // built before shipping: the copy builds its own
       val viaS = viaSpark(g)
       val viaO = viaStream(g)
       sameGrid(viaS, g) && sameGrid(viaO, g) && sameImage(viaS, g) && sameImage(viaO, g)
@@ -174,31 +172,21 @@ class GridSpec extends AnyFunSuite {
       FileGrid("long", Array(Array("a", long, ""), Array(long, "", "1"))),
       Grid.fromCsv("csv", "a,\"b,\r\nc\"\r\n\"say \"\"hi\"\"\",\u0000\n\n1"))
     for (g <- grids) {
-      assert(sameGrid(viaSpark(g), g), g.fileId)
-      assert(sameGrid(viaStream(g), g), g.fileId)
-    }
-    for (g <- grids.drop(2)) {
-      assert(sameImage(viaSpark(g), g), g.fileId)
-      assert(sameImage(viaStream(g), g), g.fileId)
+      assert(sameGrid(viaSpark(g), g) && sameImage(viaSpark(g), g), g.fileId)
+      assert(sameGrid(viaStream(g), g) && sameImage(viaStream(g), g), g.fileId)
     }
   }
 
   test("a serialized grid is a few objects, not one per cell") {
-    /** Every object an `ObjectOutputStream` writes for `g`. */
-    def written(g: FileGrid): Vector[AnyRef] = {
-      val seen = Vector.newBuilder[AnyRef]
-      val out = new ObjectOutputStream(OutputStream.nullOutputStream()) {
-        enableReplaceObject(true)
-        override def replaceObject(o: AnyRef): AnyRef = { seen += o; o }
-      }
-      out.writeObject(g); out.close()
-      seen.result()
-    }
     def grid(h: Int, w: Int) =
       FileGrid("f", Array.tabulate(h, w)((y, x) => if ((x + y) % 3 == 0) "" else s"$x.$y"))
-    val small = written(grid(3, 4))
-    val large = written(grid(30, 40))
-    assert(small.nonEmpty && small.size == large.size, (small.map(_.getClass), large.map(_.getClass)))
-    assert(!(small ++ large).exists(o => o.isInstanceOf[Array[String]] || o.isInstanceOf[FileGrid]))
+    for ((h, w) <- Seq((3, 4), (30, 40))) {
+      val g = grid(h, w)
+      val objects = written(g)
+      assert(objects.size == written(grid(3, 4)).size, objects.map(_.getClass))
+      assert(!objects.exists(o => o.isInstanceOf[Array[String]] || o.isInstanceOf[FileGrid]))
+      assert(objects.count(_.isInstanceOf[TypeImage]) == 1)
+      assert(objects.collect { case b: Array[Byte] => b.toSeq.map(_.toInt) } == Seq(codes(g)), "one byte array: the codes")
+    }
   }
 }

@@ -154,6 +154,41 @@ class RegionSimilaritySpec extends AnyFunSuite {
     })
   }
 
+  private val genRect: Gen[Rect] = for {
+    x <- Gen.choose(-3, 1000); y <- Gen.choose(-3, 1000)
+    w <- Gen.choose(0, 40);    h <- Gen.choose(0, 40)
+  } yield Rect(x, y, x + w, y + h)
+
+  /** Regions of no, few and many elements. */
+  private val genRegion: Gen[Region] = for {
+    id     <- Gen.oneOf(Gen.const("f"), Gen.asciiStr)
+    box    <- genRect
+    n      <- Gen.frequency(2 -> Gen.const(0), 6 -> Gen.choose(1, 8), 1 -> Gen.choose(100, 1000))
+    elems  <- Gen.listOfN(n, genRect)
+    counts <- genCounts
+    cells  <- Gen.choose(0, Int.MaxValue)
+  } yield Region(id, box, elems.toVector, counts, cells)
+
+  test("property: serialized regions round-trip, with no to many elements") {
+    holds(Prop.forAllNoShrink(genRegion) { r =>
+      val bits = (h: Array[Double]) => h.toSeq.map(java.lang.Double.doubleToRawLongBits)
+      def same(c: Region): Boolean =
+        c.fileId == r.fileId && c.box == r.box && c.elements == r.elements && c.counts.toSeq == r.counts.toSeq &&
+          c.cellCount == r.cellCount && bits(c.histogram) == bits(r.histogram)
+      same(Serial.viaSpark(r)) :| "JavaSerializer" && same(Serial.viaStream(r)) :| "ObjectOutputStream"
+    })
+  }
+
+  test("a serialized region is its file id and one Int array: no Rect, no Vector") {
+    for (n <- Seq(0, 1, 50)) {
+      val r = Region("f", Rect(0, 0, 60, 3), Vector.tabulate(n)(k => Rect(k, 0, k, 3)), Array.tabulate(Types)(_ + 1), 4 * n)
+      val objects = Serial.written(r)
+      assert(!objects.exists(o => o.isInstanceOf[Rect] || o.isInstanceOf[Vector[_]] || o.isInstanceOf[Region]),
+        objects.map(_.getClass))
+      assert(objects.count(_.isInstanceOf[Array[Int]]) == 1 && objects.count(_.isInstanceOf[String]) == 1)
+    }
+  }
+
   test("regions without cells: 1 against each other, 0 against any other region") {
     val empty = region(new Array[Int](Types))
     assert(RegionSimilarity.similarity(empty, empty) == 1.0)

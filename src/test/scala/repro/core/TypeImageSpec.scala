@@ -67,6 +67,21 @@ class TypeImageSpec extends AnyFunSuite {
     })
   }
 
+  test("a serialized image keeps every code, count and nonEmpty, and writes no summed-area table") {
+    val shapes = Gen.oneOf(Grid.fromRows("0 x 0", Seq.empty), FileGrid("0 wide", Array.fill(3)(Array.empty[String])))
+    holds(Prop.forAllNoShrink(Gen.frequency(9 -> genGrid, 1 -> shapes), Gen.listOfN(20, genBox(-3))) { (g, boxes) =>
+      val img = g.image
+      boxes.foreach(img.nonEmpty) // the table is built before the image is written
+      def same(c: TypeImage): Boolean =
+        c.fileId == img.fileId && c.width == img.width && c.height == img.height &&
+          (for (y <- 0 until img.height; x <- 0 until img.width) yield c.code(x, y) == img.code(x, y)).forall(identity) &&
+          boxes.forall(b => c.nonEmpty(b) == img.nonEmpty(b) && Cells.all.forall(t => c.count(t.code, b) == img.count(t.code, b)))
+      val objects = Serial.written(img)
+      same(Serial.viaSpark(img)) :| "JavaSerializer" && same(Serial.viaStream(img)) :| "ObjectOutputStream" &&
+        !objects.exists(_.isInstanceOf[Array[Int]]) :| s"an Int array was written: ${objects.map(_.getClass)}"
+    })
+  }
+
   test("histogram equals the cell-by-cell reference bit for bit") {
     holds(Prop.forAllNoShrink(genGrid, genBox(-3)) { (g, box) =>
       bits(RegionSimilarity.histogram(RegionSimilarity.counts(g, box))) == bits(ReferenceTyping.histogram(g, box))

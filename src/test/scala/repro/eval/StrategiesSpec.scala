@@ -46,12 +46,12 @@ class StrategiesSpec extends SparkSpec {
     }
   }
 
-  // Spark's partitioning and the task payload (grid and gold boxes, not the
-  // file) must not change a strategy's output: the per-file detectors run
-  // sequentially on the driver give every field of every region. The files
-  // are built on the driver, so the reference reads grids that no
-  // serializer has touched, while the tasks read grids rebuilt from their
-  // serialized form. Dynamic Radius is scored here with the per-region IoU
+  // Spark's partitioning and the task payload (type image and gold boxes,
+  // not the file) must not change a strategy's output: the per-file
+  // detectors run sequentially on the driver give every field of every
+  // region. The files are built on the driver, so the reference reads
+  // grids that no serializer has touched, while the tasks read images
+  // rebuilt from their serialized form and return regions packed. Dynamic Radius is scored here with the per-region IoU
   // of `regionScores`. A nonzero run seed pins the per-file seed derivation
   // inside `recognize`.
   test("Spark baseline detection equals the per-file detectors run on the driver") {
