@@ -1,7 +1,7 @@
 package repro.baselines.genetic
 
 import scala.util.Random
-import repro.core.{Geometry, TypedFile, UnionFind}
+import repro.core.{Geometry, Segmentation, TypedFile, UnionFind}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.{GoldFile, Role}
 
@@ -114,10 +114,8 @@ object GeneticTableRec {
     val w = grid.width
     val label = Array.fill(w * grid.height)(-1)
     for (((x, y), lab) <- labels) label(y * w + x) = lab
-    UnionFind.grid(w, grid.height, label(_) >= 0, label(_) == label(_)).map { cs =>
-      val xs = cs.map(_ % w); val ys = cs.map(_ / w)
-      Vertex(Rect(xs.min, ys.min, xs.max, ys.max), label(cs.head), cs.size)
-    }
+    Segmentation.components(w, grid.height, (x, y) => label(y * w + x))
+      .map(c => Vertex(c.boundingBox, c.label, c.runs.map(_.width).sum))
   }
 
   /** Candidate edges connect vertices whose boxes are within distance 2. */

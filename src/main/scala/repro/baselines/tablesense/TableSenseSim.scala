@@ -1,7 +1,7 @@
 package repro.baselines.tablesense
 
 import scala.util.Random
-import repro.core.{Cells, TypedFile, UnionFind}
+import repro.core.{Geometry, RegionSimilarity, Segmentation, TypedFile}
 import repro.core.Geometry.Rect
 import repro.corpus.SpreadsheetGen.GoldFile
 import repro.eval.Metrics
@@ -47,7 +47,7 @@ object TableSenseSim {
   def boxFeatures(grid: TypedFile, box: Rect): Array[Double] = {
     val img = grid.image
     val nonEmpty = img.nonEmpty(box)
-    val typeCounts = Array.tabulate(Cells.all.size)(img.count(_, box))
+    val typeCounts = RegionSimilarity.counts(grid, box)
     val area = box.area.toDouble
     val density = nonEmpty / area
     val entropy = {
@@ -78,11 +78,14 @@ object TableSenseSim {
     // every filled component holds the non-empty cells that filled it; its
     // proposal is their bounding box, shrunk back from the dilation margin
     def components(r: Int): Vector[Rect] =
-      UnionFind.grid(w, h, c => img.nonEmpty(Rect(c % w - r, c / w - r, c % w + r, c / w + r)) > 0).map { cs =>
-        val cells = cs.filter(c => !img.isEmpty(c % w, c / w))
-        val xs = cells.map(_ % w); val ys = cells.map(_ / w)
-        Rect(xs.min, ys.min, xs.max, ys.max)
-      }
+      Segmentation.components(w, h, (x, y) => if (img.nonEmpty(Rect(x - r, y - r, x + r, y + r)) > 0) 0 else -1)
+        .map { c =>
+          val filled = c.runs.flatMap { run => // each run trimmed to its non-empty cells
+            val xs = (run.x0 to run.x1).filter(!img.isEmpty(_, run.y0))
+            xs.headOption.map(x0 => Rect(x0, run.y0, xs.last, run.y0))
+          }
+          Geometry.boundary(filled)
+        }
     (1 to 2).flatMap(components).distinct.toVector
   }
 

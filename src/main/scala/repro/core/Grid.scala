@@ -27,28 +27,32 @@ final class FileGrid private (val rows: Array[Array[String]], val image: TypeIma
 
 object FileGrid {
 
-  /** The grid of `rows`, typed (see [[TypeImage.apply]]). */
-  def apply(fileId: String, rows: Array[Array[String]]): FileGrid = new FileGrid(rows, TypeImage(fileId, rows))
-
-  /** A grid as Java serialization writes it: its type image, the width of
-    * each row, the length of each cell in row-major order, and all cell
-    * text in one string. That is a handful of objects however many cells
-    * the grid has, where the rows as they are would be one `String` per
-    * cell (half a million on the Deco-like corpus, most of them empty).
-    * Rows keep their own widths, so a ragged grid built with the
-    * constructor round-trips; the image comes back as written, and no
-    * cell is typed again.
+  /** The grid of `rows`, each padded with empty cells to the longest row's
+    * length, and typed.
     */
-  @SerialVersionUID(2L)
-  private final class Packed(image: TypeImage, widths: Array[Int], lengths: Array[Int], text: String)
-      extends Serializable {
+  def apply(fileId: String, rows: Array[Array[String]]): FileGrid = {
+    val w = rows.foldLeft(0)(_ max _.length)
+    val padded = rows.map(r => if (r.length == w) r else r.padTo(w, ""))
+    new FileGrid(padded, TypeImage(fileId, padded))
+  }
+
+  /** A grid as Java serialization writes it: its type image, the length
+    * of each cell in row-major order, and all cell text in one string.
+    * That is a handful of objects however many cells the grid has, where
+    * the rows as they are would be one `String` per cell (half a million
+    * on the Deco-like corpus, most of them empty). The rows take their
+    * shape from the image, which comes back as written, and no cell is
+    * typed again.
+    */
+  @SerialVersionUID(3L)
+  private final class Packed(image: TypeImage, lengths: Array[Int], text: String) extends Serializable {
     private def readResolve(): AnyRef = {
       var at = 0
       var c  = 0
-      new FileGrid(widths.map { w =>
-        val row = new Array[String](w)
+      new FileGrid(Array.fill(image.height) {
+        val row = new Array[String](image.width)
         var x = 0
-        while (x < w) {
+        while (x < image.width) {
           val n = lengths(c)
           row(x) = if (n == 0) "" else text.substring(at, at + n)
           at += n; c += 1; x += 1
@@ -62,15 +66,14 @@ object FileGrid {
     * misses, so the text buffer grows rather than being sized first.
     */
   private def pack(g: FileGrid): Packed = {
-    val widths  = g.rows.map(_.length)
-    val lengths = new Array[Int](widths.sum)
+    val lengths = new Array[Int](g.width * g.height)
     val text    = new java.lang.StringBuilder
     var c = 0
     var y = 0
     while (y < g.height) {
       val row = g.rows(y)
       var x = 0
-      while (x < row.length) {
+      while (x < g.width) {
         val n = row(x).length
         if (n != 0) text.append(row(x))
         lengths(c) = n
@@ -78,7 +81,7 @@ object FileGrid {
       }
       y += 1
     }
-    new Packed(g.image, widths, lengths, text.toString)
+    new Packed(g.image, lengths, text.toString)
   }
 }
 
@@ -132,9 +135,7 @@ object Grid {
     fromRows(fileId, rs.take(rs.lastIndexWhere(_.nonEmpty) + 1).map(_.toSeq))
   }
 
-  /** Builds a grid from already-split rows, padding to the longest row. */
-  def fromRows(fileId: String, rows: Seq[Seq[String]]): FileGrid = {
-    val w = if (rows.isEmpty) 0 else rows.map(_.length).max
-    FileGrid(fileId, rows.map(r => r.padTo(w, "").toArray).toArray)
-  }
+  /** Builds a grid from already-split rows (see [[FileGrid.apply]]). */
+  def fromRows(fileId: String, rows: Seq[Seq[String]]): FileGrid =
+    FileGrid(fileId, rows.map(_.toArray).toArray)
 }

@@ -18,9 +18,6 @@ final case class Region(fileId: String, box: Rect, elements: Vector[Rect],
   /** The 192-bin color histogram (64 bins per RGB channel) of the box. */
   @transient lazy val histogram: Array[Double] = RegionSimilarity.histogram(counts)
 
-  /** G·counts, this region's half of the closed-form cross-correlation. */
-  @transient private[core] lazy val weighted: Array[Long] = RegionSimilarity.weigh(counts)
-
   /** Java serialization writes the region in its packed form (see
     * [[Region.Packed]]) and reads it back as a new region.
     */
@@ -140,7 +137,7 @@ object RegionSimilarity {
   }
 
   /** G·c. */
-  private[core] def weigh(c: Array[Int]): Array[Long] = Array.tabulate(Types) { t =>
+  private def weigh(c: Array[Int]): Array[Long] = Array.tabulate(Types) { t =>
     var s = 0L; var u = 0
     while (u < Types) { s += overlap(t)(u).toLong * c(u); u += 1 }
     s
@@ -158,9 +155,9 @@ object RegionSimilarity {
   /** 192 · Σ(a_i − mean)² = 192·cᵀGc − (3·Σc)², exact for regions of up to
     * ~10⁸ cells.
     */
-  private def spread(c: Array[Int], gc: Array[Long]): Long = {
+  private def spread(c: Array[Int]): Long = {
     val n = total(c)
-    HistogramBins * dot(gc, c) - 9 * n * n
+    HistogramBins * dot(weigh(c), c) - 9 * n * n
   }
 
   /** [[crossCorrelation]] of two histograms from closed-form terms: their
@@ -177,20 +174,16 @@ object RegionSimilarity {
       math.min(1.0, math.max(0.0, num / math.sqrt(va.toDouble * vb.toDouble)))
     }
 
-  /** Similarity of two regions = cross-correlation of their fingerprints. */
-  def similarity(a: Region, b: Region): Double =
-    ncc(dot(a.weighted, b.counts), total(a.counts), total(b.counts),
-        spread(a.counts, a.weighted), spread(b.counts, b.weighted))
-
   /** The closed-form terms of many regions in flat arrays, for scans over
-    * all region pairs: `similarity(i, j)` equals `similarity(regions(i),
-    * regions(j))` bit for bit.
+    * all region pairs: each region's counts c and G·c, its cell total and
+    * its [[spread]]. `similarity(i, j)`, the similarity of regions i and j,
+    * is the cross-correlation of their fingerprints.
     */
   private[core] final class Index(regions: Array[Region]) extends Serializable {
     private val counts   = regions.flatMap(_.counts)
-    private val weighted = regions.flatMap(_.weighted)
+    private val weighted = regions.flatMap(r => weigh(r.counts))
     private val totals   = regions.map(r => total(r.counts))
-    private val spreads  = regions.map(r => spread(r.counts, r.weighted))
+    private val spreads  = regions.map(r => spread(r.counts))
     private val roots    = spreads.map(v => math.sqrt(v.toDouble))
 
     /** a·b of regions i and j. */

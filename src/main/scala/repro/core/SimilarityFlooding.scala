@@ -69,11 +69,12 @@ object SimilarityFlooding {
     * With `atLeast` > 0 the caller only needs scores ≥ `atLeast`, and a
     * cascade of upper bounds on the score runs before flooding, cheapest
     * first. The node-count bound `LayoutGraph.sizeBound` (§5.4) is returned
-    * when it is below `atLeast`, before σ⁰ is built. Then come the mean of
-    * both directions' [[lineBounds]] (O(|Ga|·|Gb|)) and that of their
-    * [[matchingBound]]s (a Hungarian matching each); the first mean below
-    * `atLeast` − [[BoundSlack]] is returned without flooding. A returned
-    * bound is below `atLeast`, and is not the score.
+    * when it is below `atLeast`, before σ⁰ is built. Then each direction's
+    * cap matrix B ([[caps]]) is built once, and two bounds read it: the
+    * mean of both directions' [[lineBound]]s (O(|Ga|·|Gb|)), then that of
+    * their matching averages over B (a Hungarian matching each); the first
+    * mean below `atLeast` − [[BoundSlack]] is returned without flooding. A
+    * returned bound is below `atLeast`, and is not the score.
     *
     * This puts the two layouts into a [[LayoutGraph.Table]] and runs the
     * one scoring kernel, which the inference scan calls on its broadcast
@@ -89,13 +90,13 @@ object SimilarityFlooding {
     val size = LayoutGraph.sizeBound(u, v)
     if (size < atLeast) return size
     val s0 = seed(t, x, y)
-    // σ⁰ is symmetric bit for bit, so the reverse direction uses its transpose
+    // σ⁰ is symmetric bit for bit, so the reverse direction reads its transpose
     lazy val s0t = Array.tabulate(v, u)((j, i) => s0(i)(j))
     if (atLeast > 0.0) {
-      val (ab, ba) = lineBounds(t, x, y, s0)
-      val line = (ab + ba) / 2.0
+      val ab = caps(t, x, y, s0(_)(_)); val ba = caps(t, y, x, (j, i) => s0(i)(j))
+      val line = (lineBound(ab) + lineBound(ba)) / 2.0
       if (line < atLeast - BoundSlack) return line
-      val matched = (matchingBound(t, x, y, s0) + matchingBound(t, y, x, s0t)) / 2.0
+      val matched = (matchingAverage(ab) + matchingAverage(ba)) / 2.0
       if (matched < atLeast - BoundSlack) return matched
     }
     val scale = math.max(t.featureScale(x), t.featureScale(y))
@@ -104,8 +105,7 @@ object SimilarityFlooding {
   }
 
   /** σ⁰(i, j): the region-fingerprint similarity of node i of layout x and
-    * node j of layout y, read from the table's region index; it equals
-    * `RegionSimilarity.similarity` of the two regions bit for bit.
+    * node j of layout y, read from the table's region index.
     */
   private[core] def seed(t: LayoutGraph.Table, x: Int, y: Int): Array[Array[Double]] = {
     val a = t.start(x); val b = t.start(y)
@@ -118,7 +118,7 @@ object SimilarityFlooding {
   private def normalization(u: Int, v: Int): Double = math.pow(2.0, math.abs(u - v).toDouble)
 
   /** Maximum-weight matching total over max(rows, cols). */
-  private def matchingAverage(w: Array[Array[Double]]): Double = {
+  private[core] def matchingAverage(w: Array[Array[Double]]): Double = {
     val total = Hungarian.maxWeightMatching(w).map { case (i, j) => w(i)(j) }.sum
     total / math.max(w.length, w(0).length)
   }
@@ -202,54 +202,68 @@ object SimilarityFlooding {
     }
     k
   }
-  /** B(i, j) = max(σ⁰, (σ⁰ + K/D)/(1 + K/D)) for σ⁰(i, j) = `s`,
-    * K(i, j) = `k` and D = `dn`: an upper bound on every flooding iterate
-    * σ(i, j) of one direction.
-    *
-    * Only the K neighbors of i counted by [[reach]] can contribute, each
-    * with Φ ≤ 1, so an update adds weight W ≤ K/D; with σ ≤ 1,
-    * σ'(i, j) ≤ (σ⁰ + W)/(1 + W), which grows with W for σ⁰ ≤ 1. B is in
-    * [0, 1] since σ⁰ is.
-    */
-  private def cap(s: Double, k: Int, dn: Double): Double = {
-    val kd = k / dn
-    math.max(s, (s + kd) / (1.0 + kd))
-  }
 
-  /** Line-maximum bounds on both flooding directions (sim(x, y), sim(y, x))
-    * of table `t`, from σ⁰ = `s0` (|x| × |y|), in one pass over the node
-    * pairs.
+  /** The caps B of one flooding direction sim(x, y) of table `t`, from
+    * σ⁰(i, j) = `s0(i, j)` (i of x, j of y), as a |x| × |y| matrix:
     *
-    * The B of a direction are ≥ 0 and bound every iterate (see [[cap]]), so
-    * a matching over B weighs at most the sum of B's row maxima, and at most
-    * the sum of its column maxima. A direction's bound is the smaller sum
-    * over max(|x|, |y|): never below its [[matchingBound]], and never above
-    * the node-count bound `LayoutGraph.sizeBound`, since each maximum is
-    * ≤ 1. Each sum runs over its own line's index order, so swapping `x`
-    * and `y` swaps the two results bit for bit.
+    *   B(i, j) = max(σ⁰, (σ⁰ + K/D)/(1 + K/D))
+    *
+    * with K(i, j) the [[reach]] and D the [[normalization]]. Only the K
+    * neighbors of i counted by [[reach]] can contribute, each with Φ ≤ 1,
+    * so an update adds weight W ≤ K/D; with σ ≤ 1,
+    * σ'(i, j) ≤ (σ⁰ + W)/(1 + W), which grows with W for σ⁰ ≤ 1. So B
+    * bounds every iterate σ of the direction, σ⁰ included, and is in
+    * [0, 1] since σ⁰ is: the matching average over B bounds the
+    * direction's score, and so does the cheaper [[lineBound]] of B.
+    *
+    * σ⁰ is read through a function so that the reverse direction reads
+    * the transpose of the one σ⁰ matrix without building it.
     */
-  private[core] def lineBounds(t: LayoutGraph.Table, x: Int, y: Int, s0: Array[Array[Double]]): (Double, Double) = {
+  private[core] def caps(t: LayoutGraph.Table, x: Int, y: Int, s0: (Int, Int) => Double): Array[Array[Double]] = {
     val u = t.size(x); val v = t.size(y)
     val dn = normalization(u, v)
-    // row and column maxima of B in direction x → y (u × v) and y → x (v × u)
-    val rowAB = new Array[Double](u); val colAB = new Array[Double](v)
-    val rowBA = new Array[Double](v); val colBA = new Array[Double](u)
+    // rows filled by loops into plain arrays: a 2-D Array.ofDim creates its
+    // outer array reflectively, which slowed the cascade by ~20% on Deco
+    val b = new Array[Array[Double]](u)
     var i = 0
     while (i < u) {
+      val row = new Array[Double](v)
       var j = 0
       while (j < v) {
-        val ab = cap(s0(i)(j), reach(t, x, i, y, j), dn)
-        val ba = cap(s0(i)(j), reach(t, y, j, x, i), dn)
-        if (ab > rowAB(i)) rowAB(i) = ab
-        if (ab > colAB(j)) colAB(j) = ab
-        if (ba > rowBA(j)) rowBA(j) = ba
-        if (ba > colBA(i)) colBA(i) = ba
+        val s = s0(i, j)
+        val kd = reach(t, x, i, y, j) / dn
+        row(j) = math.max(s, (s + kd) / (1.0 + kd))
+        j += 1
+      }
+      b(i) = row
+      i += 1
+    }
+    b
+  }
+
+  /** Line-maximum bound on one flooding direction from its caps `b` (see
+    * [[caps]]), a nonempty matrix of entries ≥ 0: a matching over b
+    * weighs at most the sum of b's row maxima, and at most the sum of its
+    * column maxima. The bound is the smaller sum over max(rows, cols):
+    * never below [[matchingAverage]] of b and, when every entry is ≤ 1,
+    * never above the node-count bound `LayoutGraph.sizeBound`. Each sum
+    * runs in index order, so bᵀ gets the same bits.
+    */
+  private[core] def lineBound(b: Array[Array[Double]]): Double = {
+    val rows = b.length; val cols = b(0).length
+    val rowMax = new Array[Double](rows); val colMax = new Array[Double](cols)
+    var i = 0
+    while (i < rows) {
+      var j = 0
+      while (j < cols) {
+        val c = b(i)(j)
+        if (c > rowMax(i)) rowMax(i) = c
+        if (c > colMax(j)) colMax(j) = c
         j += 1
       }
       i += 1
     }
-    val n = math.max(u, v).toDouble
-    (math.min(total(rowAB), total(colAB)) / n, math.min(total(rowBA), total(colBA)) / n)
+    math.min(total(rowMax), total(colMax)) / math.max(rows, cols)
   }
 
   /** Sum of `xs` in index order. */
@@ -258,16 +272,6 @@ object SimilarityFlooding {
     var k = 0
     while (k < xs.length) { s += xs(k); k += 1 }
     s
-  }
-
-  /** Matching bound on one flooding direction sim(x, y) of table `t`, from
-    * σ⁰ = `s0` (|x| × |y|): the maximum-weight matching average over B (see
-    * [[cap]]). Every iterate, σ⁰ included, is at most B, so this bounds the
-    * score.
-    */
-  private[core] def matchingBound(t: LayoutGraph.Table, x: Int, y: Int, s0: Array[Array[Double]]): Double = {
-    val dn = normalization(t.size(x), t.size(y))
-    matchingAverage(Array.tabulate(t.size(x), t.size(y))((i, j) => cap(s0(i)(j), reach(t, x, i, y, j), dn)))
   }
 }
 

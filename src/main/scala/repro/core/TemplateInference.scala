@@ -200,27 +200,22 @@ object TemplateInference {
   }
 
   /** The template of each layout, in `layouts` order, from the class
-    * edges of the layouts sorted by `order`: the classes of each class edge
-    * join in a union-find over classes. A file whose class has an edge
-    * takes its component's template, and a file whose class has none is its
-    * own template. Templates are numbered in the order of their first file,
-    * as [[templatesFromEdges]] numbers them.
+    * edges of the layouts sorted by `order`, in one union-find over
+    * layouts: each class edge joins the first files of its two classes,
+    * and each file of a class with an edge joins its class's first file.
+    * A file of a class without one stays its own template. Templates are
+    * numbered in the order of their first layout, as
+    * [[templatesFromEdges]] numbers them. The cost is O(files + class
+    * edges).
     */
   private def templates(order: Array[Int], classes: Array[Array[Int]], classEdges: Array[Long]): Array[Int] = {
-    val sets = new UnionFind(classes.length)
-    val joined = new Array[Boolean](classes.length)
-    for (k <- classEdges) { sets.union(first(k), second(k)); joined(first(k)) = true; joined(second(k)) = true }
-    val classOf = new Array[Int](order.length) // by layout
-    for ((c, x) <- classes.zipWithIndex; s <- c) classOf(order(s)) = x
-    // 1 + the template of each component root, then of each lone layout
-    val slot = new Array[Int](classes.length + order.length)
-    var next = 0
-    Array.tabulate(order.length) { i =>
-      val x = classOf(i)
-      val key = if (joined(x)) sets.find(x) else classes.length + i
-      if (slot(key) == 0) { next += 1; slot(key) = next }
-      slot(key) - 1
-    }
+    val sets = new UnionFind(order.length)
+    def head(x: Int): Int = order(classes(x)(0))
+    for (k <- classEdges) sets.union(head(first(k)), head(second(k)))
+    for (x <- classEdges.flatMap(k => Array(first(k), second(k))).distinct; s <- classes(x)) sets.union(order(s), head(x))
+    val templateOf = new Array[Int](order.length)
+    for ((set, t) <- sets.sets(order.indices).zipWithIndex; i <- set) templateOf(i) = t
+    templateOf
   }
 
   /** Groups files into templates given precomputed edges and a threshold:

@@ -86,19 +86,16 @@ final class TypeImage private (val fileId: String, val width: Int, val height: I
 object TypeImage {
   private val Types = Cells.all.size
 
-  /** Types every cell of `rows`: the image is as wide as the first row, and
-    * a cell past the end of a shorter row is Empty.
-    */
-  def apply(fileId: String, rows: Array[Array[String]]): TypeImage = {
+  /** Types every cell of `rows`, which all have the first row's length. */
+  private[core] def apply(fileId: String, rows: Array[Array[String]]): TypeImage = {
     val h = rows.length
     val w = if (h == 0) 0 else rows(0).length
     val codes = new Array[Byte](w * h)
     var y = 0
     while (y < h) {
       val row = rows(y)
-      val n = math.min(w, row.length)
       var x = 0
-      while (x < n) { codes(y * w + x) = Cells.synType(row(x)).code.toByte; x += 1 }
+      while (x < w) { codes(y * w + x) = Cells.synType(row(x)).code.toByte; x += 1 }
       y += 1
     }
     new TypeImage(fileId, w, h, codes)

@@ -4,9 +4,10 @@ import scala.collection.immutable.VectorBuilder
 import scala.collection.mutable.ArrayBuffer
 
 /** Disjoint sets over 0 until n with path compression (Tarjan, JACM 1975):
-  * the connected components of segmentation (§4.1), of the ε-graph of
-  * elements (§4.2), of the file graph (Algorithm 1, over layout classes)
-  * and of the baselines.
+  * the connected components of the runs of `Segmentation.components`
+  * (§4.1, and the baselines' labelled cells), of the ε-graph of elements
+  * (§4.2), of the file graph (Algorithm 1, over layouts) and of the genetic
+  * baseline's kept edges.
   */
 final class UnionFind(n: Int) {
   private val parent = Array.range(0, n)
@@ -39,31 +40,5 @@ final class UnionFind(n: Int) {
       out(slot(r) - 1) += m
     }
     out.iterator.map(_.result()).toVector
-  }
-}
-
-object UnionFind {
-
-  /** 4-connected components of the cells c = y·w + x of a w × h grid for
-    * which `member(c)` holds; two member neighbours a < b join when
-    * `joins(a, b)` holds too. Components come in row-major order of their
-    * first cell, each with its cells in row-major order. Only member cells
-    * are collected, so sparse grids stay cheap.
-    */
-  def grid(w: Int, h: Int, member: Int => Boolean,
-           joins: (Int, Int) => Boolean = (_, _) => true): Vector[Vector[Int]] = {
-    val in = new Array[Boolean](w * h)
-    val sets = new UnionFind(w * h)
-    val members = Array.newBuilder[Int]
-    var c = 0
-    while (c < w * h) {
-      if (member(c)) {
-        in(c) = true; members += c
-        if (c % w > 0 && in(c - 1) && joins(c - 1, c)) sets.union(c, c - 1)
-        if (c >= w && in(c - w) && joins(c - w, c)) sets.union(c, c - w)
-      }
-      c += 1
-    }
-    sets.sets(members.result())
   }
 }

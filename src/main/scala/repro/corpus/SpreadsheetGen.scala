@@ -235,7 +235,7 @@ object SpreadsheetGen {
         if (y > maxY) maxY = y
       }
     }
-    def materialize(fileId: String): (Array[Array[String]], Array[Array[Byte]], Array[Array[Boolean]]) = {
+    def materialize(): (Array[Array[String]], Array[Array[Byte]], Array[Array[Boolean]]) = {
       val w = maxX + 1; val h = maxY + 1
       val rows  = Array.fill(h, w)("")
       val roles = Array.fill(h, w)(Role.EmptyR)
@@ -339,7 +339,7 @@ object SpreadsheetGen {
       }
       y += bandHeight + spec.bandGap + rnd.nextInt(2) // inter-band gap jitter
     }
-    val (rows, roles, bold) = c.materialize(fileId)
+    val (rows, roles, bold) = c.materialize()
     GoldFile(fileId, spec.templateId, outlier, FileGrid(fileId, rows), roles, bold, regions.result())
   }
 }

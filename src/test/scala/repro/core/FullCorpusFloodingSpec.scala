@@ -16,11 +16,12 @@ import repro.eval.Strategies
   * ([[ReferenceCandidates]]), and every candidate pair within the
   * node-count bound 0.7 is scored by [[ReferenceFlooding]], which
   * inference must reproduce exactly; on each of those pairs σ⁰ read from
-  * the region index must equal the regions' similarity as raw bits, and
-  * the cheap line bound of the flooding must be at least the matching
-  * bound. Inference's templates from class edges must equal the
-  * components of its file edges, ids included, and the scan's threshold
-  * test must agree with the similarity on every region pair.
+  * the table's region index must equal, as raw bits, the regions'
+  * similarity in one index of the whole corpus, and the cheap line bound
+  * of the flooding must be at least the matching bound. Inference's
+  * templates from class edges must equal the components of its file
+  * edges, ids included, and the scan's threshold test must agree with the
+  * similarity on every region pair.
   */
 class FullCorpusFloodingSpec extends SparkSpec {
   import FullCorpusFloodingSpec.{Case, regionKey}
@@ -78,17 +79,17 @@ class FullCorpusFloodingSpec extends SparkSpec {
     test(s"$name: region similarity and candidate pairs equal the 192-bin reference's") {
       val cs = c()
       val regions = cs.layouts.flatMap(_.regions)
-      val bc = spark.sparkContext.broadcast(regions)
+      val bc = spark.sparkContext.broadcast((regions, cs.index))
       val tau = tauRegion // the task closure must not capture the suite
       // per region i: (pairs compared, largest |closed form − 192-bin|,
       // pairs decided differently at τ_r, reference candidate pairs)
       val rows = spark.sparkContext.parallelize(regions.indices, spark.sparkContext.defaultParallelism * 4)
         .map { i =>
-          val rs = bc.value
+          val (rs, index) = bc.value
           var n = 0L; var err = 0.0; var flips = 0L
           val hits = Set.newBuilder[(String, String)]
           for ((j, want) <- ReferenceCandidates.row(rs, i)) {
-            val got = RegionSimilarity.similarity(rs(i), rs(j))
+            val got = index.similarity(i, j)
             n += 1; err = math.max(err, math.abs(got - want))
             if ((got >= tau) != (want >= tau)) flips += 1
             if (want >= tau) hits += ReferenceCandidates.filePair(rs(i), rs(j))
@@ -125,10 +126,12 @@ class FullCorpusFloodingSpec extends SparkSpec {
       val gaps = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
         .map { case (a, b) =>
           val t = new LayoutGraph.Table(Array(bc.value(a).regions, bc.value(b).regions))
-          val s0 = SimilarityFlooding.seed(t, 0, 1)
-          val (lineAB, lineBA) = SimilarityFlooding.lineBounds(t, 0, 1, s0)
-          val matchAB = SimilarityFlooding.matchingBound(t, 0, 1, s0)
-          val matchBA = SimilarityFlooding.matchingBound(t, 1, 0, SimilarityFlooding.seed(t, 1, 0))
+          val s0 = SimilarityFlooding.seed(t, 0, 1); val s0t = SimilarityFlooding.seed(t, 1, 0)
+          val capsAB = SimilarityFlooding.caps(t, 0, 1, s0(_)(_))
+          val capsBA = SimilarityFlooding.caps(t, 1, 0, s0t(_)(_))
+          val lineAB = SimilarityFlooding.lineBound(capsAB); val lineBA = SimilarityFlooding.lineBound(capsBA)
+          val matchAB = SimilarityFlooding.matchingAverage(capsAB)
+          val matchBA = SimilarityFlooding.matchingAverage(capsBA)
           (a, b) -> Seq(lineAB - matchAB, lineBA - matchBA, (lineAB + lineBA) / 2.0 - (matchAB + matchBA) / 2.0).min
         }
         .collect()
@@ -139,19 +142,22 @@ class FullCorpusFloodingSpec extends SparkSpec {
 
     test(s"$name: σ⁰ read from the region index equals the regions' similarity on every size-bound survivor") {
       val cs = c()
-      // one table of every layout, as the scan broadcasts one of every class
+      // one table of every layout, as the scan broadcasts one of every class;
+      // the corpus index holds the same regions at offsets of its own
       val table = new LayoutGraph.Table(cs.layouts.map(_.regions).toArray)
-      val bc = spark.sparkContext.broadcast((cs.layouts, cs.layouts.map(_.fileId).zipWithIndex.toMap, table))
+      val offsets = cs.layouts.scanLeft(0)(_ + _.size)
+      val bc = spark.sparkContext.broadcast((cs.layouts, cs.layouts.map(_.fileId).zipWithIndex.toMap, table,
+        cs.index, offsets))
       val pairs = cs.reference.keys.toVector
       // per pair: node pairs compared, node pairs whose bits differ
       val rows = spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism * 4)
         .map { case (a, b) =>
-          val (layouts, at, t) = bc.value
+          val (layouts, at, t, index, offsets) = bc.value
           val x = at(a); val y = at(b)
           val s0 = SimilarityFlooding.seed(t, x, y)
           val differ = for (i <- s0.indices; j <- s0(i).indices
             if java.lang.Double.doubleToRawLongBits(s0(i)(j)) != java.lang.Double.doubleToRawLongBits(
-              RegionSimilarity.similarity(layouts(x).regions(i), layouts(y).regions(j)))) yield (i, j)
+              index.similarity(offsets(x) + i, offsets(y) + j))) yield (i, j)
           (a, b, layouts(x).size * layouts(y).size, differ)
         }.collect()
       val bad = rows.filter(_._4.nonEmpty)
@@ -177,9 +183,8 @@ class FullCorpusFloodingSpec extends SparkSpec {
 
     test(s"$name: atLeast equals similarity ≥ τ_r on every region pair") {
       val cs = c()
-      val index = new RegionSimilarity.Index(cs.layouts.flatMap(_.regions).toArray)
       val n = cs.layouts.map(_.size).sum
-      val bc = spark.sparkContext.broadcast(index)
+      val bc = spark.sparkContext.broadcast(cs.index)
       // per region i: the (j, τ_r) where atLeast differs, over every region j
       val differ = spark.sparkContext.parallelize(0 until n, spark.sparkContext.defaultParallelism * 4)
         .map { i =>
@@ -203,6 +208,8 @@ object FullCorpusFloodingSpec {
   private final case class Case(corpus: Vector[GoldFile], strategy: String, dataset: String,
                                 layouts: Vector[LayoutGraph], reference: Map[(String, String), Double]) {
     def files: Vector[String] = layouts.map(_.fileId)
+    /** The region index of the corpus: every layout's regions, in order. */
+    lazy val index = new RegionSimilarity.Index(layouts.flatMap(_.regions).toArray)
   }
 
   /** A region's fields, its histogram as raw bits. */

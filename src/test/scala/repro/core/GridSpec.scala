@@ -5,6 +5,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CellOps._
+import repro.core.Geometry.Rect
 import repro.core.Serial.{viaSpark, viaStream, written}
 
 /** CSV parsing, grid normalization (paper §4.1) and the grid's serialized
@@ -152,6 +153,14 @@ class GridSpec extends AnyFunSuite {
     val g = FileGrid("f", Array(Array("1", "a", ""), Array("2"), Array.empty[String]))
     assert(g.width == 3 && g.height == 3)
     assert(codes(g) == Seq(Cells.IntegerSt.code, Cells.LowercaseSt.code, 0, Cells.IntegerSt.code, 0, 0, 0, 0, 0))
+  }
+
+  test("a row longer than the first widens the grid, and its cells are typed and segmented") {
+    val g = FileGrid("f", Array(Array("x"), Array("1", "2")))
+    assert(g.width == 2 && g.height == 2)
+    assert(g.rows.map(_.toSeq).toSeq == Seq(Seq("x", ""), Seq("1", "2")))
+    assert(codes(g) == Seq(Cells.LowercaseSt.code, 0, Cells.IntegerSt.code, Cells.IntegerSt.code))
+    assert(Segmentation.elements(g) == Vector(Rect(0, 0, 0, 0), Rect(0, 1, 1, 1)))
   }
 
   test("serialized padded grids type every cell the same") {

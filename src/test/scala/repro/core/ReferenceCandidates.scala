@@ -36,7 +36,7 @@ object ReferenceCandidates {
     val cands = for {
       i <- files.indices; j <- i + 1 until files.length
       a = files(i); b = files(j)
-      if a.regions.exists(r => b.regions.exists(RegionSimilarity.similarity(r, _) >= p.tauRegion))
+      if a.regions.exists(r => b.regions.exists(RegionPair.similarity(r, _) >= p.tauRegion))
     } yield (a, b)
     val edges = cands.iterator
       .filter { case (a, b) => LayoutGraph.sizeBound(a.size, b.size) >= p.tauLayout }
@@ -70,7 +70,7 @@ object ReferenceCandidates {
       for (r <- g.regions) {
         var matched = false
         for ((rt, fs) <- index) {
-          if (RegionSimilarity.similarity(r, rt) >= p.tauRegion) {
+          if (RegionPair.similarity(r, rt) >= p.tauRegion) {
             matched = true
             for (ft <- fs if ft != g.fileId) {
               val (a, b) = if (ft < g.fileId) (ft, g.fileId) else (g.fileId, ft)

@@ -45,8 +45,8 @@ object ReferenceFlooding {
   def simAsym(ga: LayoutGraph, gb: LayoutGraph, p: SimilarityFlooding.Params): Double = {
     val u = ga.size; val v = gb.size
     if (u == 0 || v == 0) return 0.0
-    val sigma0 = Array.tabulate(u, v)((i, j) =>
-      RegionSimilarity.similarity(ga.regions(i), gb.regions(j)))
+    val index = new RegionSimilarity.Index((ga.regions ++ gb.regions).toArray)
+    val sigma0 = Array.tabulate(u, v)((i, j) => index.similarity(i, u + j))
     var sigma = sigma0.map(_.clone())
     val scale = math.max(featureScale(ga), featureScale(gb))
 

@@ -244,15 +244,25 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     })
   }
 
+  /** The caps B of direction x → y of table `t`, from its σ⁰. */
+  private def caps(t: LayoutGraph.Table, x: Int, y: Int): Array[Array[Double]] = {
+    val s0 = SimilarityFlooding.seed(t, x, y)
+    SimilarityFlooding.caps(t, x, y, s0(_)(_))
+  }
+
+  /** The line bounds of both directions (0 → 1, 1 → 0) of table `t`. */
+  private def lineBounds(t: LayoutGraph.Table): (Double, Double) =
+    (SimilarityFlooding.lineBound(caps(t, 0, 1)), SimilarityFlooding.lineBound(caps(t, 1, 0)))
+
   /** Per direction and for their mean: reference score ≤ matching bound ≤
     * line bound ≤ node-count bound (which rounds differently).
     */
   private def boundCascade(a: LayoutGraph, b: LayoutGraph, p: SimilarityFlooding.Params): Prop = {
     val t = new LayoutGraph.Table(Array(a.regions, b.regions))
-    val s0 = SimilarityFlooding.seed(t, 0, 1)
-    val (lineAB, lineBA) = SimilarityFlooding.lineBounds(t, 0, 1, s0)
-    val matchAB = SimilarityFlooding.matchingBound(t, 0, 1, s0)
-    val matchBA = SimilarityFlooding.matchingBound(t, 1, 0, SimilarityFlooding.seed(t, 1, 0))
+    val capsAB = caps(t, 0, 1); val capsBA = caps(t, 1, 0)
+    val lineAB = SimilarityFlooding.lineBound(capsAB); val lineBA = SimilarityFlooding.lineBound(capsBA)
+    val matchAB = SimilarityFlooding.matchingAverage(capsAB)
+    val matchBA = SimilarityFlooding.matchingAverage(capsBA)
     val refAB = ReferenceFlooding.simAsym(a, b, p); val refBA = ReferenceFlooding.simAsym(b, a, p)
     val size = LayoutGraph.sizeBound(a.size, b.size) + 1e-12
     def chain(name: String, ref: Double, matched: Double, line: Double): Prop =
@@ -271,10 +281,29 @@ class SimilarityFloodingSpec extends AnyFunSuite {
       // the pair when its bound falls short by more than the 1e-9 slack
       val second = SimilarityFlooding.similarity(a, b, p, atLeast = size)
       val t = new LayoutGraph.Table(Array(a.regions, b.regions))
-      val (ab, ba) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
+      val (ab, ba) = lineBounds(t)
       val line = (ab + ba) / 2.0
       boundCascade(a, b, p) && (first == size) :| s"atLeast = 2 returned $first" &&
         (line >= size - 1e-9 || second == line) :| s"atLeast = $size returned $second, line bound $line"
+    })
+  }
+
+  test("property: the line bound of a matrix is at least its matching average, and transposes bit for bit") {
+    // non-negative matrices, 1 × 1 to 12 × 12, with zeros and tied entries;
+    // half of them hold entries above 1
+    val genMatrix = for {
+      rows <- Gen.choose(1, 12); cols <- Gen.choose(1, 12); top <- Gen.oneOf(1.0, 5.0)
+      entry = Gen.frequency(2 -> Gen.const(0.0), 2 -> Gen.oneOf(0.25, 0.5, 1.0), 3 -> Gen.choose(0.0, top))
+      b    <- Gen.listOfN(rows, Gen.listOfN(cols, entry))
+    } yield b.map(_.toArray).toArray
+    holds(Prop.forAllNoShrink(genMatrix) { b =>
+      val line = SimilarityFlooding.lineBound(b)
+      val matched = SimilarityFlooding.matchingAverage(b)
+      val bt = Array.tabulate(b(0).length, b.length)((j, i) => b(i)(j))
+      (line >= matched - 1e-12) :| s"line $line below matching $matched" &&
+        (b.exists(_.exists(_ > 1.0)) || line <= 1.0) :| s"line $line above 1" &&
+        (java.lang.Double.doubleToRawLongBits(SimilarityFlooding.lineBound(bt)) ==
+          java.lang.Double.doubleToRawLongBits(line)) :| "transpose differs"
     })
   }
 
@@ -287,11 +316,11 @@ class SimilarityFloodingSpec extends AnyFunSuite {
   test("bounds of two single-region layouts are σ⁰") {
     val a = LayoutGraph.build("a", Vector(region("a", Rect(0, 0, 1, 1), 3, 1)))
     val b = LayoutGraph.build("b", Vector(region("b", Rect(0, 0, 2, 0), 1, 2, 1)))
-    val s = RegionSimilarity.similarity(a.regions(0), b.regions(0))
+    val s = RegionPair.similarity(a.regions(0), b.regions(0))
     assert(s > 0.0 && s < 1.0)
     val t = new LayoutGraph.Table(Array(a.regions, b.regions))
-    assert(SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1)) == ((s, s)))
-    assert(SimilarityFlooding.matchingBound(t, 0, 1, SimilarityFlooding.seed(t, 0, 1)) == s)
+    assert(lineBounds(t) == ((s, s)))
+    assert(SimilarityFlooding.matchingAverage(caps(t, 0, 1)) == s)
     assert(SimilarityFlooding.similarity(a, b) == s)
     assert(SimilarityFlooding.similarity(a, b, atLeast = 1.0) == s)
     assert(boundCascade(a, b, SimilarityFlooding.Params()).apply(Gen.Parameters.default).success)
@@ -303,12 +332,12 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val b = LayoutGraph.build("b", Vector(
       region("b", Rect(0, 0, 1, 0), 1, 2, 1), region("b", Rect(0, 2, 1, 3), 3, 1, 1),
       region("b", Rect(3, 0, 3, 3), 0, 1, 4)))
-    val best = b.regions.map(RegionSimilarity.similarity(a.regions(0), _)).max / 3.0
+    val best = b.regions.map(RegionPair.similarity(a.regions(0), _)).max / 3.0
     for ((x, y) <- Seq(a -> b, b -> a)) {
       val t = new LayoutGraph.Table(Array(x.regions, y.regions))
-      val (xy, yx) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
+      val (xy, yx) = lineBounds(t)
       assert(xy == best && yx == best, s"${x.fileId} × ${y.fileId}")
-      assert(SimilarityFlooding.matchingBound(t, 0, 1, SimilarityFlooding.seed(t, 0, 1)) == best)
+      assert(SimilarityFlooding.matchingAverage(caps(t, 0, 1)) == best)
       assert(SimilarityFlooding.similarity(x, y) == best)
       assert(boundCascade(x, y, SimilarityFlooding.Params()).apply(Gen.Parameters.default).success)
     }
@@ -322,7 +351,7 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     // no σ⁰ reaches 1, so the line bound and the score are below 1/3
     val size = LayoutGraph.sizeBound(1, 3)
     val t = new LayoutGraph.Table(Array(a.regions, b.regions))
-    val (ab, ba) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
+    val (ab, ba) = lineBounds(t)
     assert((ab + ba) / 2.0 < size && size < 0.99)
     for ((x, y) <- Seq(a -> b, b -> a)) {
       val got = SimilarityFlooding.similarity(x, y, atLeast = 0.99)
@@ -337,11 +366,11 @@ class SimilarityFloodingSpec extends AnyFunSuite {
     val b = LayoutGraph.build("b", Vector(region("b", Rect(0, 0, 0, 1), 3, 1), region("b", Rect(2, 0, 2, 1), 1, 2, 1)))
     val t = new LayoutGraph.Table(Array(a.regions, b.regions))
     assert(t.dirs(1) == H.code && t.dirs(t.edgeStart(1) + 1) == V.code)
-    val s = RegionSimilarity.similarity(a.regions(0), b.regions(1))
+    val s = RegionPair.similarity(a.regions(0), b.regions(1))
     assert(s < 0.9)
     // rows sum to 2, columns to 1 + s, in both directions
     val want = (1.0 + s) / 2.0
-    val (ab, ba) = SimilarityFlooding.lineBounds(t, 0, 1, SimilarityFlooding.seed(t, 0, 1))
+    val (ab, ba) = lineBounds(t)
     assert(math.abs(ab - want) < 1e-15 && math.abs(ba - want) < 1e-15, s"$ab, $ba vs $want")
     assert(math.abs(SimilarityFlooding.similarity(a, b) - want) < 1e-15)
     assert(SimilarityFlooding.similarity(a, b, atLeast = 0.99) == (ab + ba) / 2.0)

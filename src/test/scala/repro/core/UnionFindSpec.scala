@@ -5,10 +5,12 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CellOps._
+import repro.core.Geometry.Rect
 
 /** The shared union-find and its users' component searches, each against a
   * brute-force search: breadth-first search on edge lists, flood fill on
-  * grids, and the `String`-keyed union-find that template inference used.
+  * grids (the run sweep `Segmentation.components`), and the `String`-keyed
+  * union-find that template inference used.
   */
 class UnionFindSpec extends AnyFunSuite {
 
@@ -66,14 +68,50 @@ class UnionFindSpec extends AnyFunSuite {
     rows <- Gen.listOfN(h, Gen.listOfN(w, genCell))
   } yield Grid.fromRows("f", rows)
 
+  /** The cells of a component's runs, row-major. */
+  private def cells(c: Segmentation.Component): Vector[(Int, Int)] = c.runs.flatMap(_.cells)
+
+  private def rowMajor(cs: Vector[(Int, Int)]): Boolean = cs == cs.sortBy { case (x, y) => (y, x) }
+
   test("grid components equal the reference flood fill's, in order, with row-major cells") {
     holds(Prop.forAll(genGrid) { g =>
-      val w = g.width
-      val got = UnionFind.grid(w, g.height, c => !CellOps.isEmpty(g.cell(c % w, c / w)))
+      val got = Segmentation.components(g.width, g.height, (x, y) => if (CellOps.isEmpty(g.cell(x, y))) -1 else 0)
       val want = ReferenceTyping.components(g)
-      (got.map(_.map(c => (c % w, c / w)).toSet) == want.map(_.cells.toSet)) :| "components" &&
-        got.forall(c => c == c.sorted) :| "row-major cells"
+      (got.map(cells(_).toSet) == want.map(_.cells.toSet)) :| "components" &&
+        got.forall(c => rowMajor(cells(c))) :| "row-major cells" &&
+        got.forall(_.label == 0) :| "labels"
     })
+  }
+
+  /** Components of the cells c = y·w + x with label(c) ≥ 0 by flood fill
+    * over same-label 4-neighbours, in row-major order of their first cell,
+    * each with its label.
+    */
+  private def sameLabelFill(w: Int, h: Int, label: Vector[Int]): Vector[(Set[Int], Int)] = {
+    val seen = Array.fill(w * h)(false)
+    val want = Vector.newBuilder[(Set[Int], Int)]
+    for (s <- label.indices if label(s) >= 0 && !seen(s)) {
+      val stack = scala.collection.mutable.Stack(s); seen(s) = true
+      val comp = Set.newBuilder[Int]
+      while (stack.nonEmpty) {
+        val c = stack.pop(); comp += c
+        val x = c % w
+        for (n <- Seq(if (x > 0) c - 1 else -1, if (x < w - 1) c + 1 else -1, c - w, c + w))
+          if (n >= 0 && n < w * h && !seen(n) && label(n) == label(c)) { seen(n) = true; stack.push(n) }
+      }
+      want += ((comp.result(), label(s)))
+    }
+    want.result()
+  }
+
+  /** `Segmentation.components` of a row-major label vector, as cell sets
+    * with their labels; every label is read once.
+    */
+  private def labelled(w: Int, h: Int, label: Vector[Int]): (Vector[Segmentation.Component], Vector[(Set[Int], Int)]) = {
+    val reads = new Array[Int](w * h)
+    val got = Segmentation.components(w, h, (x, y) => { reads(y * w + x) += 1; label(y * w + x) })
+    assert(reads.forall(_ == 1), "label read other than once per cell")
+    (got, got.map(c => (cells(c).map { case (x, y) => y * w + x }.toSet, c.label)))
   }
 
   test("grid components with a join predicate equal a same-label flood fill") {
@@ -82,22 +120,19 @@ class UnionFindSpec extends AnyFunSuite {
       ls <- Gen.listOfN(w * h, Gen.frequency(2 -> Gen.const(-1), 3 -> Gen.choose(0, 2)))
     } yield (w, h, ls.toVector)
     holds(Prop.forAll(genLabels) { case (w, h, label) =>
-      val seen = Array.fill(w * h)(false)
-      val want = Vector.newBuilder[Set[Int]]
-      for (s <- label.indices if label(s) >= 0 && !seen(s)) {
-        val stack = scala.collection.mutable.Stack(s); seen(s) = true
-        val comp = Set.newBuilder[Int]
-        while (stack.nonEmpty) {
-          val c = stack.pop(); comp += c
-          val x = c % w
-          for (n <- Seq(if (x > 0) c - 1 else -1, if (x < w - 1) c + 1 else -1, c - w, c + w))
-            if (n >= 0 && n < w * h && !seen(n) && label(n) == label(c)) { seen(n) = true; stack.push(n) }
-        }
-        want += comp.result()
-      }
-      val got = UnionFind.grid(w, h, label(_) >= 0, label(_) == label(_))
-      (got.map(_.toSet) == want.result()) && got.forall(c => c == c.sorted)
+      val (got, sets) = labelled(w, h, label)
+      (sets == sameLabelFill(w, h, label)) :| "components and labels" && got.forall(c => rowMajor(cells(c)))
     })
+  }
+
+  test("adjacent runs of different labels in one row stay apart, and join their own labels across rows") {
+    // row 0: 0 0 1 1 2 ; row 1: 1 1 1 -1 2 ; row 2: 0 -1 -1 -1 2
+    val label = Vector(0, 0, 1, 1, 2, 1, 1, 1, -1, 2, 0, -1, -1, -1, 2)
+    val (got, sets) = labelled(5, 3, label)
+    assert(sets == sameLabelFill(5, 3, label))
+    assert(sets == Vector((Set(0, 1), 0), (Set(2, 3, 5, 6, 7), 1), (Set(4, 9, 14), 2), (Set(10), 0)))
+    assert(got.map(_.runs.size) == Vector(1, 2, 3, 1))
+    assert(got(1).boundingBox == Rect(0, 0, 3, 1))
   }
 
   /** Template inference's union-find before [[UnionFind]]: parents keyed by
