@@ -10,23 +10,20 @@ import repro.core.Geometry.Rect
   *
   *   d(a,b) = α · closestCellDistance + β · sizeDifference + γ · misalignment
   *
-  * (terms from [[Geometry]]). With m = 1 every point is a core point, so a
-  * DBSCAN cluster is exactly a connected component of the ε-neighborhood
-  * graph (Ester et al., KDD 1996); we compute those components with a
-  * [[UnionFind]]. The test-only `ReferenceTyping.dbscan` keeps the DBSCAN
+  * (terms from [[Geometry]]), α = γ = 1 (§5.2). With m = 1 every point is
+  * a core point, so a DBSCAN cluster is exactly a connected component of
+  * the ε-neighborhood graph (Ester et al., KDD 1996); we compute those
+  * components with a [[UnionFind]]. The test-only `ReferenceTyping.dbscan` keeps the DBSCAN
   * formulation, and the tests check that both agree.
   */
 object Clustering {
 
-  /** Clustering hyperparameters (paper §5.2: α=1; β, γ per dataset). */
-  final case class Params(alpha: Double = 1.0, beta: Double = 0.5, gamma: Double = 1.0,
-                          eps: Double = 1.5)
+  /** Clustering hyperparameters per dataset (§5.2): β and the radius ε. */
+  final case class Params(beta: Double = 0.5, eps: Double = 1.5)
 
-  /** The weighted element distance of §4.2. */
+  /** The weighted element distance of §4.2, with α = γ = 1. */
   def elementDistance(a: Rect, b: Rect, p: Params): Double =
-    p.alpha * Geometry.distance(a, b) +
-      p.beta * Geometry.sizeDifference(a, b) +
-      p.gamma * Geometry.misalignment(a, b)
+    Geometry.distance(a, b) + p.beta * Geometry.sizeDifference(a, b) + Geometry.misalignment(a, b)
 
   /** The regions of `elems` at each radius of `radii`: the components of
     * the graph joining elements at distance ≤ ε, in DBSCAN's order —

@@ -8,12 +8,12 @@ import repro.core.Geometry.Rect
   */
 object Mondrian {
 
-  /** Paper hyperparameters per dataset (§5.2): α = 1 fixed;
-    * Deco: β = 0.5, γ = 1, static radius 1.5;
-    * Fuste: β = 1, γ = 1, static radius 1.4.
+  /** Paper hyperparameters per dataset (§5.2), α = γ = 1 for both:
+    * Deco: β = 0.5, static radius 1.5;
+    * Fuste: β = 1, static radius 1.4.
     */
-  val DecoParams: Clustering.Params  = Clustering.Params(alpha = 1.0, beta = 0.5, gamma = 1.0, eps = 1.5)
-  val FusteParams: Clustering.Params = Clustering.Params(alpha = 1.0, beta = 1.0, gamma = 1.0, eps = 1.4)
+  val DecoParams: Clustering.Params  = Clustering.Params(beta = 0.5, eps = 1.5)
+  val FusteParams: Clustering.Params = Clustering.Params(beta = 1.0, eps = 1.4)
 
   /** The dynamic-radius search grid of §5.2: [0.1,2] step 0.1, (2,10] step 1,
     * (10,100] step 10.
@@ -28,24 +28,19 @@ object Mondrian {
     else Clustering.clusterElements(elems, params).map(RegionSimilarity.fromElements(grid, _))
   }
 
-  /** Dynamic-radius detection (§5.2): clusters at every radius of
-    * [[RadiusGrid]] and keeps the first radius whose regions maximize the
-    * given score (the paper selects the optimal radius per file against the
-    * gold standard; callers pass e.g. mean IoU vs. gold boxes).
+  /** Dynamic-radius detection (§5.2): scores the cluster boxes at every
+    * radius of [[RadiusGrid]] (the paper picks the radius per file against
+    * the gold standard; callers pass e.g. mean IoU vs. gold boxes) and
+    * makes regions of the first radius of the highest score.
     */
   def detectRegionsDynamic(grid: TypedFile, base: Clustering.Params,
-                           score: Vector[Region] => Double): (Double, Vector[Region]) = {
+                           score: Vector[Rect] => Double): (Double, Vector[Region]) = {
     val elems = Segmentation.elements(grid)
     if (elems.isEmpty) return (RadiusGrid.head, Vector.empty)
-    var bestEps = RadiusGrid.head
-    var bestScore = Double.NegativeInfinity
-    var bestRegions: Vector[Region] = Vector.empty
-    for ((eps, clusters) <- RadiusGrid.zip(Clustering.clusterings(elems, base, RadiusGrid))) {
-      val regions = clusters.map(RegionSimilarity.fromElements(grid, _))
-      val s = score(regions)
-      if (s > bestScore) { bestScore = s; bestEps = eps; bestRegions = regions }
-    }
-    (bestEps, bestRegions)
+    val scored = RadiusGrid.zip(Clustering.clusterings(elems, base, RadiusGrid))
+      .map { case (eps, clusters) => (eps, clusters, score(clusters.map(Geometry.boundary))) }
+    val (eps, clusters, _) = scored.reduceLeft((best, c) => if (c._3 > best._3) c else best)
+    (eps, clusters.map(RegionSimilarity.fromElements(grid, _)))
   }
 
   /** The connected-components baseline (Coletta et al., §5.2): each

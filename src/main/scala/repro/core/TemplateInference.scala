@@ -26,14 +26,14 @@ import scala.collection.mutable
   *     of candidate file pairs;
   *  2. templates are the connected components of the file graph, found on
   *     the driver at the class level: the class pairs with layout
-  *     similarity ≥ τ_f join their classes in a union-find over classes;
+  *     similarity ≥ τ_f join their classes in a union-find over layouts;
   *     the files of a class with any such pair, (X, X) or (X, Y), take the
   *     template of its component, and each file of a class with none is its
   *     own template. The file graph's edges, every file pair of a class
   *     pair ≥ τ_f, are expanded only when `Result.edges` is read.
   *
-  * A τ_f sweep runs `infer` once at the lowest τ_f and thresholds its
-  * edges per τ_f with `templatesFromEdges`.
+  * A τ_f sweep runs `infer` once at its lowest τ_f and reads the templates
+  * at each τ_f with `Result.templatesAt`.
   */
 object TemplateInference {
 
@@ -46,13 +46,34 @@ object TemplateInference {
   /** Result: template id per file and the number of candidate file pairs
     * before any pruning. The layout-similarity edges that produced the
     * templates are held as class edges: `ids` are the file ids sorted,
-    * `classes` lists the indices into `ids` of each layout class, and
+    * `rank(i)` is the index in `ids` of the i-th input layout, `classes`
+    * lists the indices into `ids` of each layout class, and
     * `classEdges(n)`, packed class-index pairs (X, Y), X ≤ Y, scored
-    * `scores(n)`. Nothing of the layouts themselves is kept.
+    * `scores(n)` ≥ `tauLayout`. Nothing of the layouts themselves is kept.
     */
-  final class Result private[core] (val templateOf: Map[String, Int], val candidatePairs: Long,
-                                    ids: Array[String], classes: Array[Array[Int]],
-                                    classEdges: Array[Long], scores: Array[Double]) {
+  final class Result private[TemplateInference] (val candidatePairs: Long, tauLayout: Double, rank: Array[Int],
+                                                 ids: Array[String], classes: Array[Array[Int]],
+                                                 classEdges: Array[Long], scores: Array[Double]) {
+
+    /** The templates at τ_f = `tau` ≥ the τ_f of `infer`: step 2 over the
+      * class edges scored ≥ `tau`, in O(files + class edges), numbered in
+      * the order of their first layout, as [[templatesFromEdges]] numbers
+      * them.
+      */
+    def templatesAt(tau: Double): Map[String, Int] = {
+      require(tau >= tauLayout, s"τ_f $tau is below $tauLayout, the τ_f of this inference")
+      val sets = new UnionFind(ids.length)
+      val joined = new Array[Boolean](classes.length)
+      for (n <- classEdges.indices if scores(n) >= tau) {
+        val x = first(classEdges(n)); val y = second(classEdges(n))
+        sets.union(classes(x)(0), classes(y)(0)); joined(x) = true; joined(y) = true
+      }
+      for (x <- classes.indices if joined(x); i <- classes(x)) sets.union(i, classes(x)(0))
+      (for ((set, t) <- sets.sets(rank).zipWithIndex; i <- set) yield ids(i) -> t).toMap
+    }
+
+    /** The templates at the τ_f of `infer`. */
+    val templateOf: Map[String, Int] = templatesAt(tauLayout)
 
     /** The edges of the file graph: every file pair (a, b), a < b, of a
       * class edge, with the class edge's score, sorted by file id, first
@@ -87,7 +108,7 @@ object TemplateInference {
   /** A file- or class-index pair (a, b), a ≤ b, packed into one Long;
     * packed pairs sort by a, then b.
     */
-  private[core] def pack(a: Int, b: Int): Long = (a.toLong << 32) | b
+  private def pack(a: Int, b: Int): Long = (a.toLong << 32) | b
   private def first(k: Long): Int = (k >>> 32).toInt
   private def second(k: Long): Int = k.toInt
 
@@ -184,38 +205,19 @@ object TemplateInference {
 
   /** Full inference over per-file layout graphs (steps 1–2), on one
     * representative per layout class. `candidatePairs` of the result
-    * counts candidate file pairs before any pruning; its `templateOf`
-    * equals `templatesFromEdges` over its `edges`, template ids included.
-    * File ids must be distinct.
+    * counts candidate file pairs before any pruning; its `templatesAt(τ)`
+    * equals `templatesFromEdges` over its `edges` at τ, template ids
+    * included. File ids must be distinct.
     */
   def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
     val order = layouts.indices.sortBy(layouts(_).fileId).toArray
     val ids = order.map(layouts(_).fileId)
     require(ids.indices.forall(i => i == 0 || ids(i - 1) != ids(i)), "file ids must be distinct")
+    val rank = new Array[Int](order.length)
+    for (i <- order.indices) rank(order(i)) = i
     val (classes, shipped) = payload(order.map(layouts(_).regions))
     val (classEdges, scores, candidateFilePairs) = scan(spark, shipped, p, scored = true)
-    val templateOf = templates(order, classes, classEdges)
-    new Result(layouts.indices.iterator.map(i => layouts(i).fileId -> templateOf(i)).toMap,
-      candidateFilePairs, ids, classes, classEdges, scores)
-  }
-
-  /** The template of each layout, in `layouts` order, from the class
-    * edges of the layouts sorted by `order`, in one union-find over
-    * layouts: each class edge joins the first files of its two classes,
-    * and each file of a class with an edge joins its class's first file.
-    * A file of a class without one stays its own template. Templates are
-    * numbered in the order of their first layout, as
-    * [[templatesFromEdges]] numbers them. The cost is O(files + class
-    * edges).
-    */
-  private def templates(order: Array[Int], classes: Array[Array[Int]], classEdges: Array[Long]): Array[Int] = {
-    val sets = new UnionFind(order.length)
-    def head(x: Int): Int = order(classes(x)(0))
-    for (k <- classEdges) sets.union(head(first(k)), head(second(k)))
-    for (x <- classEdges.flatMap(k => Array(first(k), second(k))).distinct; s <- classes(x)) sets.union(order(s), head(x))
-    val templateOf = new Array[Int](order.length)
-    for ((set, t) <- sets.sets(order.indices).zipWithIndex; i <- set) templateOf(i) = t
-    templateOf
+    new Result(candidateFilePairs, p.tauLayout, rank, ids, classes, classEdges, scores)
   }
 
   /** Groups files into templates given precomputed edges and a threshold:

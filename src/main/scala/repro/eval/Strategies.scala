@@ -17,9 +17,12 @@ object Strategies {
     "Gold Standard", "Dynamic Radius", "Static Radius", "Connected Components",
     "Genetic (XLS)", "Genetic (CSV)", "Tablesense")
 
-  /** Per-dataset Mondrian clustering parameters (§5.2). */
-  def paramsFor(dataset: String): Clustering.Params =
-    if (dataset.startsWith("deco")) Mondrian.DecoParams else Mondrian.FusteParams
+  /** Per-dataset Mondrian clustering parameters (§5.2) of "deco" or "fuste". */
+  def paramsFor(dataset: String): Clustering.Params = dataset match {
+    case "deco"  => Mondrian.DecoParams
+    case "fuste" => Mondrian.FusteParams
+    case d       => throw new IllegalArgumentException(s"unknown dataset $d")
+  }
 
   /** Runs one strategy over a corpus; detection is one Spark map of a
     * per-file function of the file's type image and gold boxes. A task gets
@@ -52,7 +55,7 @@ object Strategies {
         // per-file optimal radius against the gold standard (§5.2): the
         // score is the mean IoU of the gold regions vs. the detected ones
         parallel { (grid, gold) =>
-          Mondrian.detectRegionsDynamic(grid, p, regions => Metrics.meanIou(grid, regions.map(_.box), gold))._2
+          Mondrian.detectRegionsDynamic(grid, p, boxes => Metrics.meanIou(grid, boxes, gold))._2
         }
       case "Connected Components" =>
         parallel((grid, _) => Mondrian.detectRegionsCC(grid))

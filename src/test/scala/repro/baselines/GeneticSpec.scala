@@ -16,7 +16,7 @@ class GeneticSpec extends SparkSpec {
     Corpora.TemplatePlan("gen-t2", SpreadsheetGen.One, 4)))
 
   private def detect(files: Vector[SpreadsheetGen.GoldFile], runSeed: Long): Map[String, Vector[Rect]] =
-    Strategies.detect(spark, "Genetic (XLS)", "gen", files, Vector.empty, runSeed).view.mapValues(_.map(_.box)).toMap
+    Strategies.detect(spark, "Genetic (XLS)", "deco", files, Vector.empty, runSeed).view.mapValues(_.map(_.box)).toMap
 
   test("features include the style bit only in the XLS variant") {
     val f = files.head

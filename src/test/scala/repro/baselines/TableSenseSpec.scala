@@ -20,7 +20,7 @@ class TableSenseSpec extends SparkSpec {
     Corpora.TemplatePlan("tste-t2", SpreadsheetGen.ManyRegions, 2)))
 
   private def detect(runSeed: Long = 0): Map[String, Vector[Rect]] =
-    Strategies.detect(spark, "Tablesense", "tste", testFiles, trainFiles, runSeed).view.mapValues(_.map(_.box)).toMap
+    Strategies.detect(spark, "Tablesense", "deco", testFiles, trainFiles, runSeed).view.mapValues(_.map(_.box)).toMap
 
   test("well-separated blocks yield individual proposals") {
     val g = Grid.fromRows("f", Seq(Seq("1", "", "", "", "", "2"), Seq("1", "", "", "", "", "")))

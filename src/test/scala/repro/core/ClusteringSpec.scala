@@ -11,7 +11,7 @@ import repro.core.Geometry.Rect
   */
 class ClusteringSpec extends AnyFunSuite {
 
-  private val P = Clustering.Params(alpha = 1, beta = 0.5, gamma = 1, eps = 1.5)
+  private val P = Clustering.Params(beta = 0.5, eps = 1.5)
 
   test("empty input yields no clusters") {
     assert(Clustering.clusterElements(Vector.empty, P).isEmpty)
@@ -65,8 +65,8 @@ class ClusteringSpec extends AnyFunSuite {
   }
   test("weighted distance components match the definitions") {
     val a = Rect(0, 0, 4, 2); val b = Rect(0, 4, 4, 6)
-    val d = Clustering.elementDistance(a, b, Clustering.Params(alpha = 2, beta = 3, gamma = 5, eps = 1))
-    assert(d == 2 * Geometry.distance(a, b) + 3 * Geometry.sizeDifference(a, b) + 5 * Geometry.misalignment(a, b))
+    val d = Clustering.elementDistance(a, b, Clustering.Params(beta = 3, eps = 1))
+    assert(d == Geometry.distance(a, b) + 3 * Geometry.sizeDifference(a, b) + Geometry.misalignment(a, b))
   }
   test("misaligned equal-size neighbors are penalized by gamma") {
     val aligned    = Clustering.elementDistance(Rect(0, 0, 4, 2), Rect(0, 4, 4, 6), P)
@@ -101,9 +101,8 @@ class ClusteringSpec extends AnyFunSuite {
   } yield new scala.util.Random(seed).shuffle((base ++ related).toVector)
 
   private val genParams: Gen[Clustering.Params] = for {
-    a <- Gen.oneOf(0.0, 0.5, 1.0, 2.0); b <- Gen.oneOf(0.0, 0.5, 1.0, 3.0)
-    g <- Gen.oneOf(0.0, 1.0, 2.5);      e <- Gen.oneOf(0.1, 1.0, 1.4, 1.5, 4.0)
-  } yield Clustering.Params(a, b, g, e)
+    b <- Gen.oneOf(0.0, 0.5, 1.0, 3.0); e <- Gen.oneOf(0.1, 1.0, 1.4, 1.5, 4.0)
+  } yield Clustering.Params(b, e)
 
   test("clusterings over the radius grid equal DBSCAN's clusters at every radius, in order") {
     val prop = Prop.forAll(genElems, genParams) { (es, p) =>

@@ -20,7 +20,8 @@ import repro.eval.Strategies
   * similarity in one index of the whole corpus, and the cheap line bound
   * of the flooding must be at least the matching bound. Inference's
   * templates from class edges must equal the components of its file
-  * edges, ids included, and the scan's threshold test must agree with the
+  * edges, ids included, at its own τ_f and at every τ_f of the sweep it
+  * is read at, and the scan's threshold test must agree with the
   * similarity on every region pair.
   */
 class FullCorpusFloodingSpec extends SparkSpec {
@@ -200,6 +201,17 @@ class FullCorpusFloodingSpec extends SparkSpec {
       val cs = c()
       val got = TemplateInference.infer(spark, cs.layouts, TemplateInference.Params(tauRegion, minTau)).edges
       assert(edgeMap(got) == cs.reference.filter(_._2 >= minTau))
+    }
+
+    test(s"$name: one infer at $minTau gives templatesFromEdges at every τ_f of the sweep, and infer's at $tauLayout") {
+      val cs = c()
+      val r = TemplateInference.infer(spark, cs.layouts, TemplateInference.Params(tauRegion, minTau))
+      val sweep = (70 to 100).map(_ / 100.0)
+      val differ = sweep.filter(tau => r.templatesAt(tau) != TemplateInference.templatesFromEdges(cs.files, r.edges, tau))
+      assert(differ.isEmpty, s"templates differ at τ_f ${differ.mkString(", ")}")
+      assert(sweep.map(r.templatesAt(_).values.toSet.size).distinct.size > 1, "the sweep never splits a template")
+      val direct = TemplateInference.infer(spark, cs.layouts, TemplateInference.Params(tauRegion, tauLayout))
+      assert(r.templatesAt(tauLayout) == direct.templateOf)
     }
   }
 }

@@ -75,7 +75,7 @@ class MondrianSpec extends AnyFunSuite {
   test("dynamic radius finds the gold regions when some radius does") {
     val gold = Vector(Rect(0, 0, 0, 0), Rect(0, 3, 2, 7), Rect(0, 10, 0, 11))
     val (eps, regions) = Mondrian.detectRegionsDynamic(census, Mondrian.DecoParams,
-      rs => Metrics.regionScores(census, rs.map(_.box), gold).map(_._1).sum / gold.size)
+      boxes => Metrics.regionScores(census, boxes, gold).map(_._1).sum / gold.size)
     assert(Mondrian.RadiusGrid.contains(eps))
     assert(regions.map(_.box).toSet == gold.toSet)
   }
@@ -101,7 +101,7 @@ class MondrianSpec extends AnyFunSuite {
   }
 
   test("deco/fuste parameter presets match the paper") {
-    assert(Mondrian.DecoParams == Clustering.Params(1.0, 0.5, 1.0, 1.5))
-    assert(Mondrian.FusteParams == Clustering.Params(1.0, 1.0, 1.0, 1.4))
+    assert(Mondrian.DecoParams == Clustering.Params(beta = 0.5, eps = 1.5))
+    assert(Mondrian.FusteParams == Clustering.Params(beta = 1.0, eps = 1.4))
   }
 }

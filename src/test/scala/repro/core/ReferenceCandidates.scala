@@ -25,13 +25,18 @@ object ReferenceCandidates {
       row(regions, i).collect { case (j, s) if s >= tauRegion => filePair(regions(i), regions(j)) }
     }.toSet
 
+  /** What a reference inference returns: template id per file, numbered
+    * by `templatesFromEdges`, the candidate file pairs, and the edges
+    * (a, b), a < b, sorted by file id.
+    */
+  final case class Result(templateOf: Map[String, Int], candidatePairs: Long, edges: Vector[(String, String, Double)])
+
   /** Inference without layout classes, on the driver: files sorted by id,
     * every file pair (a, b), a < b, with a region pair of closed-form
     * similarity ≥ τ_r is a candidate, and every candidate that passes the
-    * node-count bound at τ_f is flooded with τ_f as its floor. Edges come in
-    * (a, b) order.
+    * node-count bound at τ_f is flooded with τ_f as its floor.
     */
-  def fileLevel(layouts: Vector[LayoutGraph], p: TemplateInference.Params): TemplateInference.Result = {
+  def fileLevel(layouts: Vector[LayoutGraph], p: TemplateInference.Params): Result = {
     val files = layouts.sortBy(_.fileId)
     val cands = for {
       i <- files.indices; j <- i + 1 until files.length
@@ -45,24 +50,16 @@ object ReferenceCandidates {
     result(layouts.map(_.fileId), edges, p.tauLayout, cands.size.toLong)
   }
 
-  /** The [[TemplateInference.Result]] of file edges (a, b), a < b: the
-    * templates of `templatesFromEdges`, and each file its own layout class,
-    * so that the result's `edges` are `edges`, sorted by file id.
-    */
-  def result(files: Vector[String], edges: Vector[(String, String, Double)], tauLayout: Double,
-             candidatePairs: Long): TemplateInference.Result = {
-    val ids = files.sorted.toArray
-    val at = ids.zipWithIndex.toMap
-    new TemplateInference.Result(TemplateInference.templatesFromEdges(files, edges, tauLayout), candidatePairs,
-      ids, ids.indices.map(Array(_)).toArray, edges.map(e => TemplateInference.pack(at(e._1), at(e._2))).toArray,
-      edges.map(_._3).toArray)
-  }
+  private def result(files: Vector[String], edges: Vector[(String, String, Double)], tauLayout: Double,
+                     candidatePairs: Long): Result =
+    Result(TemplateInference.templatesFromEdges(files, edges, tauLayout), candidatePairs,
+      edges.sortBy(e => (e._1, e._2)))
 
   /** Sequential Algorithm 1 exactly as printed in the paper, for fidelity
     * tests: iterative region index with pruning, then similarity graph and
     * connected components.
     */
-  def sequential(layouts: Vector[LayoutGraph], p: TemplateInference.Params): TemplateInference.Result = {
+  def sequential(layouts: Vector[LayoutGraph], p: TemplateInference.Params): Result = {
     // region index: representative region -> set of files containing a match
     val index = scala.collection.mutable.ArrayBuffer.empty[(Region, scala.collection.mutable.Set[String])]
     val candidates = scala.collection.mutable.Set.empty[(String, String)]

@@ -110,15 +110,15 @@ class TemplateInferenceSpec extends SparkSpec {
       .withMinSuccessfulTests(150).withInitialSeed(Seed(20216L))
     var copyEdges = 0
     def origin(id: String) = if (id.contains('.')) id.drop(1).takeWhile(_ != '.') else id
-    def bits(r: TemplateInference.Result) =
-      r.edges.map { case (a, b, s) => (a, b, java.lang.Double.doubleToRawLongBits(s)) }
+    def bits(edges: Vector[(String, String, Double)]) =
+      edges.map { case (a, b, s) => (a, b, java.lang.Double.doubleToRawLongBits(s)) }
     val prop = Prop.forAllNoShrink(genCopies) { layouts =>
       Prop.all(Seq(0.7, 0.99).map { tau =>
         val p = TemplateInference.Params(tauLayout = tau)
         val got = TemplateInference.infer(spark, layouts, p)
         val want = ReferenceCandidates.fileLevel(layouts, p)
         copyEdges += got.edges.count { case (a, b, _) => origin(a) == origin(b) }
-        (bits(got) == bits(want)) :| s"τ_f $tau: edges ${got.edges}, want ${want.edges}" &&
+        (bits(got.edges) == bits(want.edges)) :| s"τ_f $tau: edges ${got.edges}, want ${want.edges}" &&
           (got.candidatePairs == want.candidatePairs) :| s"τ_f $tau: ${got.candidatePairs} candidates" &&
           (got.templateOf == want.templateOf) :| s"τ_f $tau: templates ${got.templateOf}"
       }: _*)
@@ -160,6 +160,37 @@ class TemplateInferenceSpec extends SparkSpec {
     for (c <- Seq("file without regions", "single-file class with an edge", "single-file class without",
                   "2+-file class with (X, X)", "2+-file class without (X, X)", "class joined only through another class"))
       assert(seen(c) > 0, s"no case of $c")
+  }
+
+  test("property: one infer at 0.7 gives templatesFromEdges at every higher τ_f, each refining the one before") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(150).withInitialSeed(Seed(20218L))
+    val taus = Seq(0.7, 0.8, 0.9, 0.99, 1.0)
+    var splits = 0
+    val prop = Prop.forAllNoShrink(genCopies, Gen.long) { (sorted, seed) =>
+      val layouts = new scala.util.Random(seed).shuffle(sorted)
+      val got = TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = 0.7))
+      val at = taus.map(got.templatesAt)
+      // every template at the higher τ_f lies within one of the lower
+      def refines(fine: Map[String, Int], coarse: Map[String, Int]) =
+        fine.groupBy(_._2).values.forall(_.keys.map(coarse).size == 1)
+      splits += at.sliding(2).count { case Seq(a, b) => b.values.toSet.size > a.values.toSet.size }
+      Prop.all(taus.zip(at).map { case (tau, t) =>
+        val want = TemplateInference.templatesFromEdges(layouts.map(_.fileId), got.edges, tau)
+        (t == want) :| s"τ_f $tau: templates $t, want $want"
+      } ++ taus.zip(at).sliding(2).map { case Seq((lo, coarse), (hi, fine)) =>
+        refines(fine, coarse) :| s"templates at $hi do not refine those at $lo"
+      }: _*)
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+    assert(splits > 0, "no template split along the sweep")
+  }
+
+  test("templatesAt below the τ_f of infer is rejected") {
+    val result = TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = 0.7))
+    assert(result.templatesAt(0.7) == result.templateOf)
+    intercept[IllegalArgumentException](result.templatesAt(0.69))
   }
 
   test("infer rejects repeated file ids") {
@@ -225,13 +256,11 @@ class TemplateInferenceSpec extends SparkSpec {
     assert(v > 0.75, s"v-measure $v")
   }
 
-  /** Edges ≥ 0.7, thresholded per τ_f in a sweep. */
-  private lazy val sweepEdges =
-    TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = 0.7)).edges
+  /** One inference at 0.7, read at each τ_f of a sweep. */
+  private lazy val sweep = TemplateInference.infer(spark, layouts, TemplateInference.Params(tauLayout = 0.7))
 
   test("threshold 1.0 makes nearly every file its own template (perfect homogeneity)") {
-    val edges = sweepEdges
-    val t = TemplateInference.templatesFromEdges(files.map(_.fileId), edges, 1.0 + 1e-9)
+    val t = sweep.templatesAt(1.0 + 1e-9)
     val gold = files.map(_.templateId.hashCode)
     val pred = files.map(f => t(f.fileId))
     val (h, _, _) = Metrics.vMeasure(gold zip pred)
@@ -239,9 +268,7 @@ class TemplateInferenceSpec extends SparkSpec {
   }
 
   test("lowering the threshold merges more (completeness monotone)") {
-    val edges = sweepEdges
-    def nTemplates(tau: Double) =
-      TemplateInference.templatesFromEdges(files.map(_.fileId), edges, tau).values.toSet.size
+    def nTemplates(tau: Double) = sweep.templatesAt(tau).values.toSet.size
     assert(nTemplates(0.7) <= nTemplates(0.9))
     assert(nTemplates(0.9) <= nTemplates(1.01))
   }
@@ -270,12 +297,12 @@ class TemplateInferenceSpec extends SparkSpec {
 
   test("sweep edges respect the size-bound pruning") {
     val sizeOf = layouts.map(g => g.fileId -> g.size).toMap
-    for ((a, b, _) <- sweepEdges)
+    for ((a, b, _) <- sweep.edges)
       assert(LayoutGraph.sizeBound(sizeOf(a), sizeOf(b)) >= 0.7)
   }
 
   test("detected-region pipeline (static radius) still groups same-template files") {
-    val regions = Strategies.detect(spark, "Static Radius", "ti-deco", files, files)
+    val regions = Strategies.detect(spark, "Static Radius", "deco", files, files)
     val ls = Strategies.layouts(files, regions)
     val result = TemplateInference.infer(spark, ls, TemplateInference.Params(tauLayout = 0.99))
     val gold = files.map(_.templateId.hashCode)

@@ -28,6 +28,12 @@ class StrategiesSpec extends SparkSpec {
     assert(Strategies.paramsFor("fuste") == Mondrian.FusteParams)
   }
 
+  test("paramsFor rejects any other dataset name") {
+    for (d <- Seq("ti-deco", "deco-s1", "fuste2", "gen", ""))
+      intercept[IllegalArgumentException](Strategies.paramsFor(d))
+    intercept[IllegalArgumentException](Strategies.detect(spark, "Static Radius", "decoy", deco, fuste))
+  }
+
   for (s <- Strategies.All) {
     test(s"strategy '$s' produces regions for every file") {
       val regions = Strategies.detect(spark, s, "deco", deco, fuste)
@@ -69,9 +75,9 @@ class StrategiesSpec extends SparkSpec {
     val model = TableSenseSim.train(fuste, runSeed)
     val want: Map[String, GoldFile => Vector[Region]] = Map(
       "Gold Standard" -> (f => Mondrian.regionsFromBoxes(f.grid, f.regionBoxes)),
-      "Dynamic Radius" -> (f => Mondrian.detectRegionsDynamic(f.grid, p, regions =>
+      "Dynamic Radius" -> (f => Mondrian.detectRegionsDynamic(f.grid, p, boxes =>
         if (f.regionBoxes.isEmpty) 0.0
-        else Metrics.regionScores(f.grid, regions.map(_.box), f.regionBoxes).map(_._1).sum / f.regionBoxes.size)._2),
+        else Metrics.regionScores(f.grid, boxes, f.regionBoxes).map(_._1).sum / f.regionBoxes.size)._2),
       "Static Radius" -> (f => Mondrian.detectRegions(f.grid, p)),
       "Connected Components" -> (f => Mondrian.detectRegionsCC(f.grid)),
       "Genetic (XLS)" -> genetic(useStyle = true),
