@@ -53,6 +53,10 @@ class Table3Bench extends AnyFunSuite {
         TemplateInference.Params(tauLayout = 0.99))
       assert(Table3Job.rows(files, direct.templateOf) == table3(ds), s"$ds: sweep at 0.99 vs infer at 0.99")
     }
+    // every score of the sweep is a fraction, also where a class falls
+    // into one template (H = 0)
+    for ((ds, sweep) <- sweeps; (tau, rs) <- sweep; r <- rs; (name, x) <- Seq("H" -> r.h, "C" -> r.c, "V" -> r.v))
+      assert(x >= 0.0 && x <= 1.0, s"$ds/${r.regions} at $tau: $name = $x")
     // raising τ_f only splits templates, so homogeneity never falls along
     // the sweep, in any class
     for ((ds, sweep) <- sweeps; Seq((t0, r0), (t1, r1)) <- sweep.sliding(2); (a, b) <- r0.zip(r1)) {

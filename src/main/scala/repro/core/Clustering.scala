@@ -25,21 +25,45 @@ object Clustering {
   def elementDistance(a: Rect, b: Rect, p: Params): Double =
     Geometry.distance(a, b) + p.beta * Geometry.sizeDifference(a, b) + Geometry.misalignment(a, b)
 
-  /** The regions of `elems` at each radius of `radii`: the components of
-    * the graph joining elements at distance ≤ ε, in DBSCAN's order —
-    * clusters by first element, members in input order. The distances do
-    * not depend on ε, so they are computed once (the upper triangle).
+  /** The regions of `elems` at each radius of the non-decreasing `radii`:
+    * the components of the graph joining elements at distance ≤ ε, in
+    * DBSCAN's order — clusters by first element, members in input order.
+    * The partitions are nested (single linkage), so one pass serves every
+    * radius: each pair's distance is computed once and the pair is put in
+    * the bucket of the first radius it is within; one union-find then
+    * takes the buckets in radius order. A radius whose bucket merges no
+    * two clusters gets the same instance as the radius before it.
     */
   def clusterings(elems: IndexedSeq[Rect], p: Params, radii: Seq[Double]): Vector[Vector[Vector[Rect]]] = {
+    val eps = radii.toArray
+    require(eps.indices.drop(1).forall(k => eps(k - 1) <= eps(k)), s"radii must be non-decreasing: $radii")
     val n = elems.length
-    val dist = new Array[Double](n * (n - 1) / 2)
-    var k = 0
-    for (i <- 0 until n; j <- i + 1 until n) { dist(k) = elementDistance(elems(i), elems(j), p); k += 1 }
-    radii.iterator.map { eps =>
-      val sets = new UnionFind(n)
-      var k = 0
-      for (i <- 0 until n; j <- i + 1 until n) { if (dist(k) <= eps) sets.union(i, j); k += 1 }
-      sets.sets(0 until n).map(_.map(elems))
+    // the pairs i * n + j within the last radius; bucket b lists
+    // pair(head(b)), pair(next(head(b))), … up to the index -1
+    val pair = new Array[Int](n * (n - 1) / 2)
+    val next = new Array[Int](pair.length)
+    val head = Array.fill(eps.length)(-1)
+    var kept = 0
+    var i = 0
+    while (i < n) {
+      var j = i + 1
+      while (j < n) {
+        val d = elementDistance(elems(i), elems(j), p)
+        var lo = 0; var hi = eps.length // the first radius with d ≤ ε, by binary search
+        while (lo < hi) { val mid = (lo + hi) >>> 1; if (d <= eps(mid)) hi = mid else lo = mid + 1 }
+        if (lo < eps.length) { pair(kept) = i * n + j; next(kept) = head(lo); head(lo) = kept; kept += 1 }
+        j += 1
+      }
+      i += 1
+    }
+    val sets = new UnionFind(n)
+    var last: Vector[Vector[Rect]] = null
+    eps.indices.iterator.map { b =>
+      var merged = last == null
+      var k = head(b)
+      while (k >= 0) { if (sets.union(pair(k) / n, pair(k) % n)) merged = true; k = next(k) }
+      if (merged) last = sets.sets(0 until n).map(_.map(elems))
+      last
     }.toVector
   }
 

@@ -28,19 +28,22 @@ object Mondrian {
     else Clustering.clusterElements(elems, params).map(RegionSimilarity.fromElements(grid, _))
   }
 
-  /** Dynamic-radius detection (§5.2): scores the cluster boxes at every
-    * radius of [[RadiusGrid]] (the paper picks the radius per file against
+  /** Dynamic-radius detection (§5.2): scores the cluster boxes at the
+    * radii of [[RadiusGrid]] (the paper picks the radius per file against
     * the gold standard; callers pass e.g. mean IoU vs. gold boxes) and
-    * makes regions of the first radius of the highest score.
+    * makes regions of the first radius of the highest score. A radius with
+    * the partition of the radius before it would score the same, so only
+    * distinct partitions are scored.
     */
   def detectRegionsDynamic(grid: TypedFile, base: Clustering.Params,
                            score: Vector[Rect] => Double): (Double, Vector[Region]) = {
     val elems = Segmentation.elements(grid)
     if (elems.isEmpty) return (RadiusGrid.head, Vector.empty)
-    val scored = RadiusGrid.zip(Clustering.clusterings(elems, base, RadiusGrid))
-      .map { case (eps, clusters) => (eps, clusters, score(clusters.map(Geometry.boundary))) }
-    val (eps, clusters, _) = scored.reduceLeft((best, c) => if (c._3 > best._3) c else best)
-    (eps, clusters.map(RegionSimilarity.fromElements(grid, _)))
+    val parts = Clustering.clusterings(elems, base, RadiusGrid)
+    val (best, _) = parts.indices.filter(k => k == 0 || !(parts(k) eq parts(k - 1)))
+      .map(k => (k, score(parts(k).map(Geometry.boundary))))
+      .reduceLeft((best, c) => if (c._2 > best._2) c else best)
+    (RadiusGrid(best), parts(best).map(RegionSimilarity.fromElements(grid, _)))
   }
 
   /** The connected-components baseline (Coletta et al., §5.2): each

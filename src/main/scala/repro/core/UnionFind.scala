@@ -21,10 +21,13 @@ final class UnionFind(n: Int) {
     r
   }
 
-  /** Merges the sets of i and j, linking root(i) under root(j). */
-  def union(i: Int, j: Int): Unit = {
+  /** Merges the sets of i and j, linking root(i) under root(j); false if
+    * they were one set already.
+    */
+  def union(i: Int, j: Int): Boolean = {
     val ri = find(i); val rj = find(j)
     if (ri != rj) parent(ri) = rj
+    ri != rj
   }
 
   /** The sets of `members` only, each in the order given and the sets in

@@ -70,8 +70,11 @@ object Metrics {
     val hKgivenC = -joint.map { case ((c, _), cnt) =>
       (cnt / n) * math.log(cnt.toDouble / byClass(c))
     }.sum
-    val homogeneity  = if (hC == 0.0) 1.0 else 1.0 - hCgivenK / hC
-    val completeness = if (hK == 0.0) 1.0 else 1.0 - hKgivenC / hK
+    // H(C|K) ≤ H(C) and H(K|C) ≤ H(K), but each pair is summed differently,
+    // so the ratio can exceed 1 by rounding (one cluster: H(C|K) = H(C))
+    def clamp(x: Double) = math.min(1.0, math.max(0.0, x))
+    val homogeneity  = if (hC == 0.0) 1.0 else clamp(1.0 - hCgivenK / hC)
+    val completeness = if (hK == 0.0) 1.0 else clamp(1.0 - hKgivenC / hK)
     val v =
       if (homogeneity + completeness == 0.0) 0.0
       else 2 * homogeneity * completeness / (homogeneity + completeness)

@@ -104,16 +104,62 @@ class ClusteringSpec extends AnyFunSuite {
     b <- Gen.oneOf(0.0, 0.5, 1.0, 3.0); e <- Gen.oneOf(0.1, 1.0, 1.4, 1.5, 4.0)
   } yield Clustering.Params(b, e)
 
-  test("clusterings over the radius grid equal DBSCAN's clusters at every radius, in order") {
-    val prop = Prop.forAll(genElems, genParams) { (es, p) =>
-      val got = Clustering.clusterings(es, p, Mondrian.RadiusGrid)
-      val want = Mondrian.RadiusGrid.map(eps => ReferenceTyping.clusterElements(es, p.copy(eps = eps)))
-      (got == want) :| s"radius ${Mondrian.RadiusGrid.indices.find(k => got(k) != want(k)).map(Mondrian.RadiusGrid)}" &&
-        (Clustering.clusterElements(es, p) == ReferenceTyping.clusterElements(es, p)) :| "clusterElements"
-    }
+  /** A non-decreasing radius list with repeats, mostly set exactly on the
+    * pair distances of `es`, as those are the bucket boundaries.
+    */
+  private def genRadii(es: Vector[Rect], p: Clustering.Params): Gen[Vector[Double]] = {
+    val dists = for (i <- es.indices; j <- i + 1 until es.size) yield Clustering.elementDistance(es(i), es(j), p)
+    val any = Gen.oneOf(Gen.choose(0.0, 12.0), Gen.oneOf(Mondrian.RadiusGrid))
+    val one = if (dists.isEmpty) any else Gen.frequency(3 -> Gen.oneOf(dists), 1 -> any)
+    for {
+      rs  <- Gen.choose(0, 20).flatMap(Gen.listOfN(_, one))
+      dup <- if (rs.isEmpty) Gen.const(Nil) else Gen.someOf(rs)
+    } yield (rs ++ dup).sorted.toVector
+  }
+
+  private val genCase: Gen[(Vector[Rect], Clustering.Params, Vector[Double])] = for {
+    es <- genElems; p <- genParams; radii <- genRadii(es, p)
+  } yield (es, p, radii)
+
+  private def check(prop: Prop): Unit = {
     val params = org.scalacheck.Test.Parameters.default
       .withMinSuccessfulTests(300).withInitialSeed(Seed(4211L))
     val res = org.scalacheck.Test.check(params, prop)
     assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
+
+  /** Whether `clusterings(es, p, radii)` equals DBSCAN's clusters at every radius. */
+  private def matchesDbscan(es: Vector[Rect], p: Clustering.Params, radii: Vector[Double]): Prop = {
+    val got = Clustering.clusterings(es, p, radii)
+    val want = radii.map(eps => ReferenceTyping.clusterElements(es, p.copy(eps = eps)))
+    (got == want) :| s"radius ${radii.indices.find(k => got(k) != want(k)).map(radii)} of $radii"
+  }
+
+  test("clusterings over the radius grid equal DBSCAN's clusters at every radius, in order") {
+    check(Prop.forAll(genCase) { case (es, p, radii) =>
+      matchesDbscan(es, p, Mondrian.RadiusGrid) :| "grid" &&
+        matchesDbscan(es, p, radii) :| "generated radii" &&
+        (Clustering.clusterElements(es, p) == ReferenceTyping.clusterElements(es, p)) :| "clusterElements"
+    })
+  }
+
+  test("clusterings shares one instance between consecutive radii with equal partitions, and only then") {
+    check(Prop.forAll(genCase) { case (es, p, radii) =>
+      Prop.all(Seq(Mondrian.RadiusGrid, radii).map { rs =>
+        val got = Clustering.clusterings(es, p, rs)
+        val wrong = (1 until got.size).filter(k => (got(k) eq got(k - 1)) != (got(k) == got(k - 1)))
+        wrong.isEmpty :| s"radii ${wrong.map(rs)} of $rs"
+      }: _*)
+    })
+    // two elements: two partitions over the 37 grid radii, so one new instance
+    val grid = Clustering.clusterings(Vector(Rect(0, 0, 3, 2), Rect(0, 6, 3, 8)), P, Mondrian.RadiusGrid)
+    assert((1 until grid.size).count(k => !(grid(k) eq grid(k - 1))) == 1)
+  }
+
+  test("clusterings rejects radii that are not non-decreasing") {
+    val es = Vector(Rect(0, 0, 1, 1), Rect(0, 3, 1, 4))
+    assertThrows[IllegalArgumentException](Clustering.clusterings(es, P, Seq(1.0, 2.0, 1.5)))
+    assertThrows[IllegalArgumentException](Clustering.clusterings(Vector.empty, P, Seq(2.0, 1.0)))
+    assert(Clustering.clusterings(es, P, Seq(1.0, 1.0, 2.0)).size == 3)
   }
 }

@@ -80,6 +80,22 @@ class MondrianSpec extends AnyFunSuite {
     assert(regions.map(_.box).toSet == gold.toSet)
   }
 
+  test("dynamic radius scores each distinct partition once and keeps the first best radius") {
+    val gold = Vector(Rect(0, 0, 0, 0), Rect(0, 3, 2, 7), Rect(0, 10, 0, 11))
+    val elems = Segmentation.elements(census)
+    val parts = Mondrian.RadiusGrid.map(eps => Clustering.clusterElements(elems, Mondrian.DecoParams.copy(eps = eps)))
+    val distinct = (1 until parts.size).count(k => parts(k) != parts(k - 1)) + 1
+    def score(boxes: Vector[Rect]) = Metrics.meanIou(census, boxes, gold)
+    val scored = parts.map(cs => score(cs.map(Geometry.boundary)))
+    var calls = 0
+    val (eps, regions) = Mondrian.detectRegionsDynamic(census, Mondrian.DecoParams,
+      boxes => { calls += 1; score(boxes) })
+    assert(elems.size > 1 && distinct < Mondrian.RadiusGrid.size)
+    assert(calls == distinct && calls <= elems.size, s"$calls calls, $distinct partitions, ${elems.size} elements")
+    assert(eps == Mondrian.RadiusGrid(scored.indexOf(scored.max)))
+    assert(regions.map(_.box) == parts(scored.indexOf(scored.max)).map(Geometry.boundary))
+  }
+
   test("radius grid matches the paper's search space") {
     val g = Mondrian.RadiusGrid
     assert(math.abs(g.head - 0.1) < 1e-9)

@@ -77,6 +77,13 @@ class MetricsSpec extends AnyFunSuite {
     val (h, c, _) = Metrics.vMeasure(Seq((0, 1), (0, 1), (1, 1), (1, 1)))
     assert(c == 1.0 && h < 1.0)
   }
+  test("one cluster over several classes: homogeneity and v-measure exactly 0") {
+    // H(C|K) and H(C) are equal but summed differently; unclamped, these
+    // sizes give h = -2.2e-16 and v = -4.4e-16
+    val data = Seq(20 -> 0, 16 -> 1, 13 -> 2).flatMap { case (size, cls) => Seq.fill(size)((cls, 7)) }
+    val (h, c, v) = Metrics.vMeasure(data)
+    assert(h == 0.0 && c == 1.0 && v == 0.0, (h, c, v))
+  }
   test("v-measure is the harmonic mean") {
     val (h, c, v) = Metrics.vMeasure(Seq((0, 1), (0, 1), (1, 1), (2, 2)))
     assert(math.abs(v - 2 * h * c / (h + c)) < 1e-12)
