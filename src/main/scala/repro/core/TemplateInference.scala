@@ -100,7 +100,7 @@ object TemplateInference {
   def candidatePairs(spark: SparkSession, regions: Vector[Region], tauRegion: Double): Vector[(String, String)] = {
     val files = regions.groupBy(_.fileId).toArray.sortBy(_._1)
     val (classes, shipped) = payload(files.map(_._2))
-    val (cands, _, _) = scan(spark, shipped, Params(tauRegion), scored = false)
+    val (cands, _, _) = scan(spark, shipped, Params(tauRegion), scored = false, spark.sparkContext.defaultParallelism)
     cands.flatMap(filePairs(classes, _)).sorted.iterator
       .map(k => (files(first(k))._1, files(second(k))._1)).toVector
   }
@@ -151,22 +151,28 @@ object TemplateInference {
     * returned, unscored (NaN).
     *
     * The payload is broadcast once, as primitive arrays only, and
-    * destroyed once the results are collected. Task t of T owns the rows
-    * X = t, t + T, …, which balances the shrinking rows, and compares
-    * class X with every class Y ≥ X until the first region pair ≥ τ_r, so
-    * each candidate is found once and scored where it is found; nothing is
-    * shuffled, and a task returns its kept pairs and its count of candidate
-    * file pairs. A row's cost is mostly its flooding, which varies with the
-    * layouts, so T is 4 × `defaultParallelism`: with one task per core,
-    * the few heavy rows of a large template pile up in one task.
+    * destroyed once the results are collected. Row X compares class X with
+    * every class Y ≥ X until the first region pair ≥ τ_r, so each candidate
+    * is found once and scored where it is found; nothing is shuffled, and a
+    * task returns its kept pairs and its count of candidate file pairs.
+    * The driver deals the rows to `tasks` tasks, at most one per row, by
+    * their [[rowCosts]], heaviest first ([[deal]]). `infer` runs one task
+    * per core, as a task's overhead is most of a small job's wall: on 4
+    * cores an empty job took 12–14 ms with 4 tasks and 22 ms with 16, and
+    * fuste-dynamic's scan job 15 ms with 4 tasks and 20 ms with 16.
+    * Dealing by cost, not striping, keeps Deco CC's few heavy rows apart:
+    * striped over 4 tasks, its `infer` took 5.7 s, against 5.1–5.2 s dealt
+    * or striped over 16 (DESIGN §7).
     */
   private def scan(spark: SparkSession, payload: (LayoutGraph.Table, Array[Int]), p: Params,
-                   scored: Boolean): (Array[Long], Array[Double], Long) = {
-    if (payload._2.isEmpty) return (Array.empty, Array.empty, 0L)
+                   scored: Boolean, tasks: Int): (Array[Long], Array[Double], Long) = {
+    val (table, classSizes) = payload
+    if (classSizes.isEmpty) return (Array.empty, Array.empty, 0L)
+    val rows = deal(rowCosts(Array.tabulate(classSizes.length)(table.size), classSizes, p.tauLayout),
+      math.min(tasks, classSizes.length))
     val sc = spark.sparkContext
     val bc = sc.broadcast(payload)
-    val tasks = 4 * sc.defaultParallelism
-    val found = sc.parallelize(0 until tasks, tasks).map { t =>
+    val found = sc.parallelize(rows.toSeq, rows.length).map { owned =>
       val (table, sizes) = bc.value
       val start = table.start; val index = table.index
       def matches(a: Int, b: Int): Boolean = {
@@ -183,8 +189,7 @@ object TemplateInference {
       }
       val keys = Array.newBuilder[Long]; val values = Array.newBuilder[Double]
       var candidateFilePairs = 0L
-      var a = t
-      while (a < sizes.length) {
+      for (a <- owned) {
         var b = if (sizes(a) > 1) a else a + 1
         while (b < sizes.length) {
           if (matches(a, b)) {
@@ -195,12 +200,55 @@ object TemplateInference {
           }
           b += 1
         }
-        a += tasks
       }
       (keys.result(), values.result(), candidateFilePairs)
     }.collect()
     bc.destroy()
     (found.flatMap(_._1), found.flatMap(_._2), found.iterator.map(_._3).sum)
+  }
+
+  /** The estimated cost of each row X of the scan, from node counts only:
+    * one unit per class Y the row compares X with (Y ≥ X when X holds 2+
+    * files, else Y > X), plus u²·v² per such Y that passes the node-count
+    * bound at `tau`, u and v being the node counts of X and Y: flooding's
+    * work per iteration. The rows are taken last to first, over a
+    * histogram of the node counts of the classes each one compares with,
+    * and a row reads only the node counts that pass the bound with its own.
+    */
+  private[core] def rowCosts(nodes: Array[Int], sizes: Array[Int], tau: Double): Array[Long] = {
+    val compared = new Array[Long](if (nodes.isEmpty) 0 else nodes.max + 1)
+    val costs = new Array[Long](nodes.length)
+    for (x <- nodes.indices.reverse) {
+      val u = nodes(x)
+      val self = sizes(x) > 1
+      if (self) compared(u) += 1
+      var floods = 0L // Σ v² over the Ys that pass the bound
+      var v = u
+      while (v >= 0 && LayoutGraph.sizeBound(u, v) >= tau) { floods += compared(v) * v * v; v -= 1 }
+      v = u + 1
+      while (v < compared.length && LayoutGraph.sizeBound(u, v) >= tau) { floods += compared(v) * v * v; v += 1 }
+      costs(x) = nodes.length - 1 - x + (if (self) 1 else 0) + u.toLong * u * floods
+      if (!self) compared(u) += 1
+    }
+    costs
+  }
+
+  /** Rows 0 until `costs.length` dealt to `tasks` tasks by greedy
+    * longest-processing-time-first (Graham, 1969): the rows by decreasing
+    * cost, ties by index, each to the task with the least cost so far, the
+    * first such task on ties. Each task lists its rows in increasing order;
+    * a task may get none.
+    */
+  private[core] def deal(costs: Array[Long], tasks: Int): Array[Array[Int]] = {
+    require(tasks > 0, s"$tasks tasks")
+    val load = new Array[Long](tasks)
+    val owned = Array.fill(tasks)(Array.newBuilder[Int])
+    for (x <- costs.indices.sortBy(-costs(_))) {
+      var t = 0
+      for (s <- 1 until tasks) if (load(s) < load(t)) t = s
+      load(t) += costs(x); owned(t) += x
+    }
+    owned.map(_.result().sorted)
   }
 
   /** Full inference over per-file layout graphs (steps 1–2), on one
@@ -209,14 +257,18 @@ object TemplateInference {
     * equals `templatesFromEdges` over its `edges` at τ, template ids
     * included. File ids must be distinct.
     */
-  def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result = {
+  def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params = Params()): Result =
+    infer(spark, layouts, p, spark.sparkContext.defaultParallelism)
+
+  /** [[infer]] with its scan dealt to `tasks` tasks. */
+  private[core] def infer(spark: SparkSession, layouts: Vector[LayoutGraph], p: Params, tasks: Int): Result = {
     val order = layouts.indices.sortBy(layouts(_).fileId).toArray
     val ids = order.map(layouts(_).fileId)
     require(ids.indices.forall(i => i == 0 || ids(i - 1) != ids(i)), "file ids must be distinct")
     val rank = new Array[Int](order.length)
     for (i <- order.indices) rank(order(i)) = i
     val (classes, shipped) = payload(order.map(layouts(_).regions))
-    val (classEdges, scores, candidateFilePairs) = scan(spark, shipped, p, scored = true)
+    val (classEdges, scores, candidateFilePairs) = scan(spark, shipped, p, scored = true, tasks)
     new Result(candidateFilePairs, p.tauLayout, rank, ids, classes, classEdges, scores)
   }
 

@@ -25,7 +25,8 @@ object Strategies {
   }
 
   /** Runs one strategy over a corpus; detection is one Spark map of a
-    * per-file function of the file's type image and gold boxes. A task gets
+    * per-file function of the file's type image and gold boxes, in one task
+    * per core, each a contiguous slice of `files`. A task gets
     * just those: the image (file id, shape and one type code per cell),
     * not the cell text nor the file's cell roles and style bits, which only
     * the Genetic classifier reads, on the driver. Each task returns its
@@ -41,7 +42,7 @@ object Strategies {
     def parallel(f: (TypedFile, Vector[Rect]) => Vector[Region]): Map[String, Vector[Region]] =
       spark.sparkContext
         .parallelize(files.map(g => (g.grid.image, g.regionBoxes)),
-          math.max(1, math.min(files.size, spark.sparkContext.defaultParallelism * 4)))
+          math.max(1, math.min(files.size, spark.sparkContext.defaultParallelism)))
         .map { case (image, gold) => image.fileId -> f(image, gold) }
         .collect()
         .toMap

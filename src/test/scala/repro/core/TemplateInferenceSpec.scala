@@ -5,7 +5,7 @@ import org.apache.spark.serializer.JavaSerializer
 import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import repro.core.Geometry.Rect
 import repro.corpus.{Corpora, SpreadsheetGen}
 import repro.eval.{Metrics, Strategies}
@@ -126,6 +126,86 @@ class TemplateInferenceSpec extends SparkSpec {
     val res = org.scalacheck.Test.check(params, prop)
     assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
     assert(copyEdges > 0, "no edge between a layout and its copy")
+  }
+
+  test("property: infer gives the same results whatever the number of scan tasks") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(100).withInitialSeed(Seed(20221L))
+    val cores = spark.sparkContext.defaultParallelism
+    def bits(edges: Vector[(String, String, Double)]) =
+      edges.map { case (a, b, s) => (a, b, java.lang.Double.doubleToRawLongBits(s)) }
+    def results(r: TemplateInference.Result) =
+      (r.candidatePairs, bits(r.edges), r.templatesAt(0.7), r.templatesAt(0.99))
+    var edges = 0
+    val prop = Prop.forAllNoShrink(genCopies) { layouts =>
+      val p = TemplateInference.Params(tauLayout = 0.7)
+      val want = results(TemplateInference.infer(spark, layouts, p, 1))
+      edges += want._2.size
+      Prop.all(Seq(3, cores, 4 * cores).map { tasks =>
+        val got = results(TemplateInference.infer(spark, layouts, p, tasks))
+        (got == want) :| s"$tasks tasks: $got, 1 task: $want"
+      }: _*)
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+    assert(edges > 0, "no edge in any case")
+  }
+
+  test("deal gives every row to one task, each task's rows in increasing order, by LPT") {
+    // LPT: 5 → task 0, 4 → 1, then each 3 to the lighter task, 0 first on ties
+    assert(TemplateInference.deal(Array(5L, 4, 3, 3, 3), 2).map(_.toSeq).toSeq == Seq(Seq(0, 3), Seq(1, 2, 4)))
+    assert(TemplateInference.deal(Array(1L, 1, 1, 1), 2).map(_.toSeq).toSeq == Seq(Seq(0, 2), Seq(1, 3)))
+    assert(TemplateInference.deal(Array.empty, 4).map(_.toSeq).toSeq == Seq.fill(4)(Seq.empty))
+    assert(TemplateInference.deal(Array(7L, 9), 4).map(_.toSeq).toSeq == Seq(Seq(1), Seq(0), Seq(), Seq()))
+    intercept[IllegalArgumentException](TemplateInference.deal(Array(1L), 0))
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(300).withInitialSeed(Seed(20222L))
+    val gen = for {
+      tasks <- Gen.choose(1, 9)
+      n     <- Gen.choose(0, 40)
+      costs <- Gen.listOfN(n, Gen.frequency(1 -> Gen.const(0L), 1 -> Gen.choose(1L, 3L), 2 -> Gen.choose(0L, 1000000L)))
+    } yield (costs.toArray, tasks)
+    val prop = Prop.forAllNoShrink(gen) { case (costs, tasks) =>
+      val dealt = TemplateInference.deal(costs, tasks)
+      val loads = dealt.map(_.map(costs).sum)
+      (dealt.length == tasks) :| s"${dealt.length} tasks" &&
+        (dealt.flatten.sorted.toSeq == costs.indices) :| "not every row once" &&
+        dealt.forall(rs => rs.indices.drop(1).forall(i => rs(i - 1) < rs(i))) :| "rows not increasing" &&
+        (TemplateInference.deal(costs.clone(), tasks).map(_.toSeq).toSeq == dealt.map(_.toSeq).toSeq) :| "not deterministic" &&
+        // list scheduling: no task ends later than the mean load plus the largest cost
+        (loads.max <= costs.sum / tasks + costs.maxOption.getOrElse(0L)) :| s"loads ${loads.toSeq}"
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
+
+  test("property: rowCosts equals the cost summed over every compared class pair") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(300).withInitialSeed(Seed(20223L))
+    val gen = for {
+      n     <- Gen.choose(0, 30)
+      nodes <- Gen.listOfN(n, Gen.frequency(1 -> Gen.const(0), 4 -> Gen.choose(1, 12), 1 -> Gen.choose(40, 120)))
+      sizes <- Gen.listOfN(n, Gen.choose(1, 3))
+      tau   <- Gen.oneOf(0.0, 0.5, 0.7, 0.95, 0.99, 1.0, 1.01)
+    } yield (nodes.toArray, sizes.toArray, tau)
+    val prop = Prop.forAllNoShrink(gen) { case (nodes, sizes, tau) =>
+      val want = nodes.indices.map { x =>
+        (x until nodes.length).filter(y => y > x || sizes(x) > 1).map { y =>
+          val (u, v) = (nodes(x).toLong, nodes(y).toLong)
+          1 + (if (LayoutGraph.sizeBound(nodes(x), nodes(y)) >= tau) u * u * v * v else 0L)
+        }.sum
+      }
+      val got = TemplateInference.rowCosts(nodes, sizes, tau).toSeq
+      (got == want) :| s"got $got, want $want"
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+  }
+
+  test("infer runs one Spark job of one task per core") {
+    val classes = TemplateInference.payload(layouts.map(_.regions).toArray)._1.length
+    val jobs = SparkJobs.stageTasks(spark)(TemplateInference.infer(spark, layouts))
+    assert(jobs == Vector(Seq(math.min(classes, spark.sparkContext.defaultParallelism))), s"classes: $classes")
   }
 
   test("property: templates from class edges equal templatesFromEdges over the file edges, ids included") {

@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import repro.baselines.genetic.GeneticTableRec
 import repro.baselines.tablesense.TableSenseSim
 import repro.corpus.{Corpora, SpreadsheetGen}
@@ -32,6 +32,12 @@ class StrategiesSpec extends SparkSpec {
     for (d <- Seq("ti-deco", "deco-s1", "fuste2", "gen", ""))
       intercept[IllegalArgumentException](Strategies.paramsFor(d))
     intercept[IllegalArgumentException](Strategies.detect(spark, "Static Radius", "decoy", deco, fuste))
+  }
+
+  test("detect runs one Spark job of one task per core") {
+    val (files, other) = (deco, fuste) // generated outside the count
+    val jobs = SparkJobs.stageTasks(spark)(Strategies.detect(spark, "Static Radius", "deco", files, other))
+    assert(jobs == Vector(Seq(math.min(files.size, spark.sparkContext.defaultParallelism))))
   }
 
   for (s <- Strategies.All) {
