@@ -4,8 +4,9 @@ import scala.util.Random
 
 /** A from-scratch random forest (bagged CART trees, Gini impurity) used as
   * the cell classifier of the genetic-based baseline (Koci et al. train a
-  * random forest on cell features to label each cell's role). No ML library
-  * is available offline, so the forest is implemented here.
+  * random forest on cell features to label each cell's role). Spark ML's
+  * forest would grow other trees, changing the Genetic regions recorded in
+  * `digests.tsv`, and run Spark jobs for every cross-validation fold.
   */
 object DecisionForest {
 

@@ -18,11 +18,6 @@ final class FileGrid private (val rows: Array[Array[String]], val image: TypeIma
   def fileId: String = image.fileId
   def height: Int = image.height
   def width: Int = image.width
-
-  /** Java serialization writes the grid in its packed form (see
-    * [[FileGrid.Packed]]) and reads it back as a new grid.
-    */
-  private def writeReplace(): AnyRef = FileGrid.pack(this)
 }
 
 object FileGrid {
@@ -34,54 +29,6 @@ object FileGrid {
     val w = rows.foldLeft(0)(_ max _.length)
     val padded = rows.map(r => if (r.length == w) r else r.padTo(w, ""))
     new FileGrid(padded, TypeImage(fileId, padded))
-  }
-
-  /** A grid as Java serialization writes it: its type image, the length
-    * of each cell in row-major order, and all cell text in one string.
-    * That is a handful of objects however many cells the grid has, where
-    * the rows as they are would be one `String` per cell (half a million
-    * on the Deco-like corpus, most of them empty). The rows take their
-    * shape from the image, which comes back as written, and no cell is
-    * typed again.
-    */
-  @SerialVersionUID(3L)
-  private final class Packed(image: TypeImage, lengths: Array[Int], text: String) extends Serializable {
-    private def readResolve(): AnyRef = {
-      var at = 0
-      var c  = 0
-      new FileGrid(Array.fill(image.height) {
-        val row = new Array[String](image.width)
-        var x = 0
-        while (x < image.width) {
-          val n = lengths(c)
-          row(x) = if (n == 0) "" else text.substring(at, at + n)
-          at += n; c += 1; x += 1
-        }
-        row
-      }, image)
-    }
-  }
-
-  /** One pass over the cells: each is read once, most of them from cache
-    * misses, so the text buffer grows rather than being sized first.
-    */
-  private def pack(g: FileGrid): Packed = {
-    val lengths = new Array[Int](g.width * g.height)
-    val text    = new java.lang.StringBuilder
-    var c = 0
-    var y = 0
-    while (y < g.height) {
-      val row = g.rows(y)
-      var x = 0
-      while (x < g.width) {
-        val n = row(x).length
-        if (n != 0) text.append(row(x))
-        lengths(c) = n
-        c += 1; x += 1
-      }
-      y += 1
-    }
-    new Packed(g.image, lengths, text.toString)
   }
 }
 

@@ -70,8 +70,8 @@ object Corpora {
   private def seed(parts: String*): Long =
     parts.foldLeft(1125899906842597L)((acc, s) => s.foldLeft(acc * 31 + 17)((a, ch) => a * 31 + ch))
 
-  /** Materializes a corpus plan into gold files, parallelized per file on
-    * Spark (template specs are derived deterministically inside the tasks).
+  /** Materializes a corpus plan into gold files, one Spark task per core
+    * (template specs are derived deterministically inside the tasks).
     */
   def generate(spark: SparkSession, name: String, plan: Vector[TemplatePlan]): Vector[GoldFile] = {
     val fileSpecs: Vector[(TemplatePlan, Int, String)] = {
@@ -84,7 +84,7 @@ object Corpora {
       }
     }
     spark.sparkContext
-      .parallelize(fileSpecs, math.max(1, math.min(fileSpecs.size, spark.sparkContext.defaultParallelism * 4)))
+      .parallelize(fileSpecs, math.max(1, math.min(fileSpecs.size, spark.sparkContext.defaultParallelism)))
       .map { case (tp, k, fileId) =>
         val spec = SpreadsheetGen.template(tp.templateId, tp.sizeClass, seed(name, tp.templateId))
         SpreadsheetGen.instantiate(spec, fileId, seed(name, tp.templateId, s"file$k"), tp.outlier)

@@ -6,7 +6,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CellOps._
 import repro.core.Geometry.Rect
-import repro.core.Serial.{viaSpark, viaStream, written}
+import repro.core.Serial.{viaSpark, viaStream}
 
 /** CSV parsing, grid normalization (paper §4.1) and the grid's serialized
   * form.
@@ -183,19 +183,6 @@ class GridSpec extends AnyFunSuite {
     for (g <- grids) {
       assert(sameGrid(viaSpark(g), g) && sameImage(viaSpark(g), g), g.fileId)
       assert(sameGrid(viaStream(g), g) && sameImage(viaStream(g), g), g.fileId)
-    }
-  }
-
-  test("a serialized grid is a few objects, not one per cell") {
-    def grid(h: Int, w: Int) =
-      FileGrid("f", Array.tabulate(h, w)((y, x) => if ((x + y) % 3 == 0) "" else s"$x.$y"))
-    for ((h, w) <- Seq((3, 4), (30, 40))) {
-      val g = grid(h, w)
-      val objects = written(g)
-      assert(objects.size == written(grid(3, 4)).size, objects.map(_.getClass))
-      assert(!objects.exists(o => o.isInstanceOf[Array[String]] || o.isInstanceOf[FileGrid]))
-      assert(objects.count(_.isInstanceOf[TypeImage]) == 1)
-      assert(objects.collect { case b: Array[Byte] => b.toSeq.map(_.toInt) } == Seq(codes(g)), "one byte array: the codes")
     }
   }
 }

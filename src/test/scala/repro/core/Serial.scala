@@ -5,7 +5,8 @@ import org.apache.spark.SparkConf
 import org.apache.spark.serializer.JavaSerializer
 
 /** Java-serialization round trips and payload inspection for the tests of
-  * the packed forms that Spark tasks receive and return.
+  * what Spark tasks receive and return: type images, and regions in their
+  * packed form.
   */
 object Serial {
 

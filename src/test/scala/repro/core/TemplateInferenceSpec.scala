@@ -151,6 +151,25 @@ class TemplateInferenceSpec extends SparkSpec {
     assert(edges > 0, "no edge in any case")
   }
 
+  test("property: infer and the sequential Algorithm 1 give the same template groups") {
+    val params = org.scalacheck.Test.Parameters.default
+      .withMinSuccessfulTests(100).withInitialSeed(Seed(20222L))
+    def groups(m: Map[String, Int]) = m.groupBy(_._2).values.map(_.keys.toSet).toSet
+    var merged = 0
+    val prop = Prop.forAllNoShrink(genCopies) { layouts =>
+      Prop.all(Seq(0.7, 0.99).map { tau =>
+        val p = TemplateInference.Params(tauLayout = tau)
+        val got = groups(TemplateInference.infer(spark, layouts, p).templateOf)
+        val want = groups(ReferenceCandidates.sequential(layouts, p).templateOf)
+        merged += got.count(_.size > 1)
+        (got == want) :| s"τ_f $tau: groups $got, Algorithm 1 $want"
+      }: _*)
+    }
+    val res = org.scalacheck.Test.check(params, prop)
+    assert(res.passed, org.scalacheck.util.Pretty.pretty(res))
+    assert(merged > 0, "no template of two or more files in any case")
+  }
+
   test("deal gives every row to one task, each task's rows in increasing order, by LPT") {
     // LPT: 5 → task 0, 4 → 1, then each 3 to the lighter task, 0 first on ties
     assert(TemplateInference.deal(Array(5L, 4, 3, 3, 3), 2).map(_.toSeq).toSeq == Seq(Seq(0, 3), Seq(1, 2, 4)))

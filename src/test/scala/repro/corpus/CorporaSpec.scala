@@ -2,7 +2,7 @@ package repro.corpus
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkJobs, SparkSpec}
 import repro.core.CellOps._
 import repro.corpus.SpreadsheetGen._
 
@@ -77,6 +77,13 @@ class CorporaSpec extends SparkSpec {
   }
   test("generation of an empty plan is empty") {
     assert(Corpora.generate(spark, "none", Vector.empty).isEmpty)
+  }
+  test("generation runs one Spark job of one task per core, or one per file when fewer") {
+    val cores = spark.sparkContext.defaultParallelism
+    for (plan <- Seq(Corpora.scaledForTest(Corpora.decoPlan, 0.02), Vector(Corpora.TemplatePlan("g-t0", One, 2)))) {
+      val files = plan.map(_.files).sum
+      assert(SparkJobs.stageTasks(spark)(Corpora.generate(spark, "g", plan)) == Vector(Seq(math.min(files, cores))))
+    }
   }
   test("file ids are unique") {
     assert(mini.map(_.fileId).distinct.size == mini.size)
