@@ -156,10 +156,12 @@ object TemplateInference {
     * is found once and scored where it is found; nothing is shuffled, and a
     * task returns its kept pairs and its count of candidate file pairs.
     * The driver deals the rows to `tasks` tasks, at most one per row, by
-    * their [[rowCosts]], heaviest first ([[deal]]). `infer` runs one task
-    * per core, as a task's overhead is most of a small job's wall: on 4
-    * cores an empty job took 12–14 ms with 4 tasks and 22 ms with 16, and
-    * fuste-dynamic's scan job 15 ms with 4 tasks and 20 ms with 16.
+    * their [[rowCosts]], heaviest first ([[deal]]), and runs one task per
+    * dealt list of rows ([[Jobs.run]]). `infer` runs one task per core, as
+    * a task's overhead is most of a small job's wall: on 4 cores, with the
+    * job submitted as a `parallelize` map, an empty job took 12–14 ms with
+    * 4 tasks and 22 ms with 16, and fuste-dynamic's scan job 15 ms with 4
+    * tasks and 20 ms with 16.
     * Dealing by cost, not striping, keeps Deco CC's few heavy rows apart:
     * striped over 4 tasks, its `infer` took 5.7 s, against 5.1–5.2 s dealt
     * or striped over 16 (DESIGN §7).
@@ -172,7 +174,7 @@ object TemplateInference {
       math.min(tasks, classSizes.length))
     val sc = spark.sparkContext
     val bc = sc.broadcast(payload)
-    val found = sc.parallelize(rows.toSeq, rows.length).map { owned =>
+    val found = Jobs.run(sc, rows) { owned =>
       val (table, sizes) = bc.value
       val start = table.start; val index = table.index
       def matches(a: Int, b: Int): Boolean = {
@@ -202,7 +204,7 @@ object TemplateInference {
         }
       }
       (keys.result(), values.result(), candidateFilePairs)
-    }.collect()
+    }
     bc.destroy()
     (found.flatMap(_._1), found.flatMap(_._2), found.iterator.map(_._3).sum)
   }

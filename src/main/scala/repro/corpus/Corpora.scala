@@ -1,6 +1,7 @@
 package repro.corpus
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.Jobs
 import repro.corpus.SpreadsheetGen._
 
 /** The two evaluation corpora, rebuilt synthetically with layout marginals
@@ -70,8 +71,10 @@ object Corpora {
   private def seed(parts: String*): Long =
     parts.foldLeft(1125899906842597L)((acc, s) => s.foldLeft(acc * 31 + 17)((a, ch) => a * 31 + ch))
 
-  /** Materializes a corpus plan into gold files, one Spark task per core
-    * (template specs are derived deterministically inside the tasks).
+  /** Materializes a corpus plan into gold files, in one Spark job of one
+    * task per core, the plan's files striped over the tasks (file i in task
+    * i mod n, [[Jobs.stripe]]), so that the plan's uneven file costs spread
+    * evenly (template specs are derived deterministically inside the tasks).
     */
   def generate(spark: SparkSession, name: String, plan: Vector[TemplatePlan]): Vector[GoldFile] = {
     val fileSpecs: Vector[(TemplatePlan, Int, String)] = {
@@ -83,15 +86,13 @@ object Corpora {
         }
       }
     }
-    spark.sparkContext
-      .parallelize(fileSpecs, math.max(1, math.min(fileSpecs.size, spark.sparkContext.defaultParallelism)))
-      .map { case (tp, k, fileId) =>
+    val sc = spark.sparkContext
+    Jobs.run(sc, Jobs.stripe(fileSpecs, sc.defaultParallelism)) {
+      _.map { case (tp, k, fileId) =>
         val spec = SpreadsheetGen.template(tp.templateId, tp.sizeClass, seed(name, tp.templateId))
         SpreadsheetGen.instantiate(spec, fileId, seed(name, tp.templateId, s"file$k"), tp.outlier)
       }
-      .collect()
-      .toVector
-      .sortBy(_.fileId)
+    }.iterator.flatten.toVector.sortBy(_.fileId)
   }
 
   /** Deco-like corpus; `scale` < 1 subsamples the plan file counts

@@ -24,10 +24,11 @@ object Strategies {
     case d       => throw new IllegalArgumentException(s"unknown dataset $d")
   }
 
-  /** Runs one strategy over a corpus; detection is one Spark map of a
+  /** Runs one strategy over a corpus; detection is one Spark job of a
     * per-file function of the file's type image and gold boxes, in one task
-    * per core, each a contiguous slice of `files`. A task gets
-    * just those: the image (file id, shape and one type code per cell),
+    * per core, the files striped over the tasks (file i in task i mod n,
+    * [[Jobs.stripe]]), so costs that drift along `files` spread evenly. A
+    * task gets just those: the image (file id, shape and one type code per cell),
     * not the cell text nor the file's cell roles and style bits, which only
     * the Genetic classifier reads, on the driver. Each task returns its
     * files' regions, each serialized as one array of `Int`s. The ML
@@ -39,13 +40,12 @@ object Strategies {
              files: Vector[GoldFile], other: Vector[GoldFile],
              runSeed: Long = 0): Map[String, Vector[Region]] = {
     val p = paramsFor(dataset)
-    def parallel(f: (TypedFile, Vector[Rect]) => Vector[Region]): Map[String, Vector[Region]] =
-      spark.sparkContext
-        .parallelize(files.map(g => (g.grid.image, g.regionBoxes)),
-          math.max(1, math.min(files.size, spark.sparkContext.defaultParallelism)))
-        .map { case (image, gold) => image.fileId -> f(image, gold) }
-        .collect()
-        .toMap
+    def parallel(f: (TypedFile, Vector[Rect]) => Vector[Region]): Map[String, Vector[Region]] = {
+      val sc = spark.sparkContext
+      Jobs.run(sc, Jobs.stripe(files.map(g => (g.grid.image, g.regionBoxes)), sc.defaultParallelism)) {
+        _.map { case (image, gold) => image.fileId -> f(image, gold) }
+      }.iterator.flatten.toMap
+    }
 
     strategy match {
       case "Gold Standard" =>
